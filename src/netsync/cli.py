@@ -11,11 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .edgelist import ingest_edge_list, write_edge_list
-from .errors import InputError, NumericalError, ToolkitError, ValidationError
+from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
 from .metrics import node_stats, summarize
@@ -29,7 +27,9 @@ from .report import (
     run_pipeline,
     trace_csv,
     trajectory_csv,
+    _fit_dict,
     _node_stats_dicts,
+    _spectral_dict,
     _summary_dict,
 )
 from .resilience import RandomError, TargetedAttack, run_error_ensemble, run_resilience
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="summary + per-node centralities")
     p_an.add_argument("--edge-list", required=True)
-    p_an.add_argument("--threads", type=int, default=1)
     _add_common(p_an)
 
     p_fit = sub.add_parser("fit", help="power-law fit of the degree sequence")
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="run configured stages, emit one report")
     p_pipe.add_argument("--config", required=True, help="JSON config path")
-    p_pipe.add_argument("--threads", type=int, default=None)
     _add_common(p_pipe)
 
     return parser
@@ -138,7 +136,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
-    stats = node_stats(result.graph, threads=args.threads)
+    stats = node_stats(result.graph)
     if args.format == "csv":
         _emit(node_stats_csv(stats), args.out)
         return 0
@@ -156,14 +154,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
-    fit = fit_mle(result.graph.degrees())
-    payload = {
-        "gamma": fit.gamma,
-        "k_min": fit.k_min,
-        "ks_stat": fit.ks_stat,
-        "n_tail": fit.n_tail,
-        "dropped_zeros": fit.dropped_zeros,
-    }
+    payload = _fit_dict(fit_mle(result.graph.degrees()))
     if args.compare_er:
         reference = generate_er(
             ERParams(n=result.graph.n, m=result.graph.m, seed=args.seed)
@@ -179,11 +170,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise InputError(f"--seeds: must be >= 1, got {args.seeds}")
     result = ingest_edge_list(args.edge_list)
     if args.strategy == "attack":
         trace = run_resilience(result.graph, TargetedAttack(), args.record_every)
         _emit(trace_csv(trace), args.out)
-    elif args.seeds <= 1:
+    elif args.seeds == 1:
         trace = run_resilience(
             result.graph, RandomError(seed=args.seed), args.record_every
         )
@@ -198,15 +191,9 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 def _cmd_sync(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
     if args.spectral_only:
-        rep = spectral_stability(result.graph, args.closeness_threshold)
-        payload = {
-            "lambda1": rep.lambda1,
-            "lambda2": rep.lambda2,
-            "gap": rep.gap,
-            "stable": rep.stable,
-            "zero_multiplicity": rep.zero_multiplicity,
-            "closeness_threshold": rep.closeness_threshold,
-        }
+        payload = _spectral_dict(
+            spectral_stability(result.graph, args.closeness_threshold)
+        )
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
         return 0
     cfg = SyncConfig(
@@ -240,10 +227,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except ValueError as exc:
+        raise InputError(f"--config: {args.config} is not valid JSON: {exc}") from None
     cfg = PipelineConfig.from_dict(raw)
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.deterministic:
         cfg.deterministic = True
     report = run_pipeline(cfg)

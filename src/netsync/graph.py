@@ -1,8 +1,9 @@
 """Undirected simple graph with dense integer node ids.
 
 Storage is adjacency lists with sorted neighbor arrays; graphs are
-immutable after construction, so every read operation is safe to share
-across threads. Removal produces a new graph plus an id remap table.
+immutable after construction. A subgraph (``induced_subgraph``) is a new
+graph whose ids are renumbered densely in the order the kept nodes are
+given.
 """
 
 from __future__ import annotations
@@ -116,30 +117,6 @@ class Graph:
             indices[pos : pos + len(nbrs)] = nbrs
             pos += len(nbrs)
         return indptr, indices
-
-    # -- mutation-as-new-value -------------------------------------------
-
-    def remove_node(self, i: NodeId) -> tuple["Graph", list[int | None]]:
-        """New graph without node ``i`` plus a remap table old id -> new id.
-
-        The removed id maps to None; surviving ids stay dense and ordered.
-        """
-        self._check_node(i)
-        remap: list[int | None] = [None] * self.n
-        new = 0
-        for old in range(self.n):
-            if old != i:
-                remap[old] = new
-                new += 1
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self.edges()
-            if u != i and v != i
-        ]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[old] for old in range(self.n) if old != i]
-        return Graph(self.n - 1, edges, labels), remap
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import DegenerateInputError, InputError, NumericalError
-from .graph import ComponentPartition, Graph, connected_components
+from .graph import ComponentPartition, Graph, connected_components, induced_subgraph
 
 INF = math.inf
 
@@ -88,24 +87,28 @@ def average_path_length(g: Graph) -> PathLengthStats:
     )
 
 
+def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | None:
+    """Diameter of the largest component of ``g``, given its partition;
+    None when that component has fewer than 2 nodes."""
+    largest = parts.largest()
+    if len(largest) < 2:
+        return None
+    sub = g if len(largest) == g.n else induced_subgraph(g, largest)
+    d = all_pairs_distances(sub)
+    return int(d[np.isfinite(d)].max())
+
+
 def diameter(g: Graph) -> int:
     """Longest shortest path; on disconnected graphs, that of the largest
     component."""
     if g.n < 2:
         raise InputError("diameter needs at least 2 nodes")
-    parts = connected_components(g)
-    largest = parts.largest()
-    if len(largest) < 2:
+    diam = _largest_component_diameter(g, connected_components(g))
+    if diam is None:
         raise DegenerateInputError(
             "largest component is a single node; diameter undefined"
         )
-    if len(largest) == g.n:
-        d = all_pairs_distances(g)
-    else:
-        from .graph import induced_subgraph
-
-        d = all_pairs_distances(induced_subgraph(g, largest))
-    return int(d[np.isfinite(d)].max())
+    return diam
 
 
 # -- clustering and degrees ---------------------------------------------------
@@ -203,26 +206,17 @@ def _brandes_source(adj: list[list[int]], n: int, s: int) -> np.ndarray:
     return contrib
 
 
-def betweenness_centrality(g: Graph, threads: int = 1) -> np.ndarray:
+def betweenness_centrality(g: Graph) -> np.ndarray:
     """Unnormalized betweenness: for each node v, the sum over unordered
     pairs (s, t) of the fraction of s-t shortest paths through v.
 
-    Per-source accumulations are independent; with threads > 1 they run on
-    a pool but are always reduced in ascending source order, so the result
-    is bitwise identical for every thread count.
+    Per-source accumulations are reduced in ascending source order.
     """
     n = g.n
     adj = g.adjacency
     total = np.zeros(n)
-    if threads <= 1:
-        for s in range(n):
-            total += _brandes_source(adj, n, s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for contrib in pool.map(
-                lambda s: _brandes_source(adj, n, s), range(n)
-            ):
-                total += contrib
+    for s in range(n):
+        total += _brandes_source(adj, n, s)
     # each unordered pair was seen from both endpoints
     return total / 2.0
 
@@ -242,8 +236,6 @@ def eigenvector_centrality(
         raise DegenerateInputError("eigenvector centrality needs at least one edge")
     parts = connected_components(g)
     largest = parts.largest()
-    from .graph import induced_subgraph
-
     sub = g if len(largest) == g.n else induced_subgraph(g, largest)
     a = _adjacency_csr(sub).astype(np.float64)
     v = np.full(sub.n, 1.0 / sub.n)
@@ -306,7 +298,6 @@ def summarize(g: Graph) -> GraphSummary:
     parts = connected_components(g)
     apl = None
     frac = None
-    diam = None
     clust = None
     if g.n >= 1:
         clust = global_clustering(g)
@@ -316,15 +307,11 @@ def summarize(g: Graph) -> GraphSummary:
         frac = stats.unreachable_fraction
     except (InputError, DegenerateInputError):
         pass
-    try:
-        diam = diameter(g)
-    except (InputError, DegenerateInputError):
-        pass
     return GraphSummary(
         n=g.n,
         m=g.m,
         average_path_length=apl,
-        diameter=diam,
+        diameter=_largest_component_diameter(g, parts),
         global_clustering=clust,
         degree_distribution=degree_distribution(g) if g.n else {},
         unreachable_pair_fraction=frac,
@@ -333,11 +320,11 @@ def summarize(g: Graph) -> GraphSummary:
     )
 
 
-def node_stats(g: Graph, threads: int = 1) -> list[NodeStats]:
+def node_stats(g: Graph) -> list[NodeStats]:
     """Per-node table: degree, clustering, closeness, betweenness,
     eigenvector centrality."""
     closeness = closeness_vector(g)
-    betweenness = betweenness_centrality(g, threads=threads)
+    betweenness = betweenness_centrality(g)
     if g.m > 0:
         eigen = eigenvector_centrality(g)
     else:

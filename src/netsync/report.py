@@ -5,8 +5,8 @@ in a fixed order (summary -> centralities -> fit -> spectral -> resilience),
 and embeds each stage's output in a single report. A failing stage is
 recorded under ``errors`` without aborting the stages that do not depend
 on it. Reports serialize to JSON with sorted keys so that a seeded run is
-byte-identical across repetitions and thread counts; timestamps are omitted
-when the deterministic flag is set.
+byte-identical across repetitions; timestamps are omitted when the
+deterministic flag is set.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class PipelineConfig:
     edge_list: str | None = None
     generate: dict[str, Any] | None = None
     stages: list[str] = field(default_factory=list)
-    threads: int = 1
     deterministic: bool = False
     resilience_strategy: str = "attack"
     resilience_seeds: int = 1
@@ -53,13 +52,11 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
         cfg = cls()
-        known = {
-            "input",
-            "stages",
-            "threads",
-            "deterministic",
-            "resilience",
-        }
+        if not isinstance(raw, dict):
+            raise InputError(
+                f"config: expected a JSON object, got {type(raw).__name__}"
+            )
+        known = {"input", "stages", "deterministic", "resilience"}
         for key in raw:
             if key not in known:
                 raise InputError(f"{key}: unknown config field")
@@ -98,9 +95,6 @@ class PipelineConfig:
         else:
             raise InputError("stages: expected 'all' or a list of stage names")
 
-        cfg.threads = int(raw.get("threads", 1))
-        if cfg.threads < 1:
-            raise InputError(f"threads: must be >= 1, got {cfg.threads}")
         cfg.deterministic = bool(raw.get("deterministic", False))
 
         res = raw.get("resilience", {})
@@ -112,12 +106,24 @@ class PipelineConfig:
                 f"resilience.strategy: expected 'attack' or 'error', "
                 f"got {cfg.resilience_strategy!r}"
             )
-        cfg.resilience_seeds = int(res.get("seeds", 1))
+        cfg.resilience_seeds = _integer(res, "seeds", 1)
         if cfg.resilience_seeds < 1:
             raise InputError("resilience.seeds: must be >= 1")
-        cfg.resilience_seed = int(res.get("seed", 0))
-        cfg.resilience_record_every = float(res.get("record_every", 0.02))
+        cfg.resilience_seed = _integer(res, "seed", 0)
+        every = res.get("record_every", 0.02)
+        if isinstance(every, bool) or not isinstance(every, (int, float)):
+            raise InputError(f"resilience.record_every: expected a number, got {every!r}")
+        if not (0.0 < every <= 1.0):
+            raise InputError(f"resilience.record_every: must be in (0, 1], got {every}")
+        cfg.resilience_record_every = float(every)
         return cfg
+
+
+def _integer(res: dict[str, Any], key: str, default: int) -> int:
+    value = res.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"resilience.{key}: expected an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -185,7 +191,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             if stage == "summary":
                 report.summary = summarize(graph)
             elif stage == "centralities":
-                report.node_stats = node_stats(graph, threads=cfg.threads)
+                report.node_stats = node_stats(graph)
             elif stage == "fit":
                 report.fit = fit_mle(graph.degrees())
             elif stage == "spectral":
@@ -243,6 +249,27 @@ def _node_stats_dicts(rows: list[NodeStats]) -> list[dict[str, Any]]:
     ]
 
 
+def _fit_dict(fit: PowerLawFit) -> dict[str, Any]:
+    return {
+        "gamma": fit.gamma,
+        "k_min": fit.k_min,
+        "ks_stat": fit.ks_stat,
+        "n_tail": fit.n_tail,
+        "dropped_zeros": fit.dropped_zeros,
+    }
+
+
+def _spectral_dict(rep: SpectralReport) -> dict[str, Any]:
+    return {
+        "lambda1": rep.lambda1,
+        "lambda2": rep.lambda2,
+        "gap": rep.gap,
+        "stable": rep.stable,
+        "zero_multiplicity": rep.zero_multiplicity,
+        "closeness_threshold": rep.closeness_threshold,
+    }
+
+
 def _resilience_dict(tr: ResilienceTrace | EnsembleTrace) -> dict[str, Any]:
     if isinstance(tr, ResilienceTrace):
         return {
@@ -290,22 +317,9 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     if report.node_stats is not None:
         out["node_stats"] = _node_stats_dicts(report.node_stats)
     if report.fit is not None:
-        out["power_law_fit"] = {
-            "gamma": report.fit.gamma,
-            "k_min": report.fit.k_min,
-            "ks_stat": report.fit.ks_stat,
-            "n_tail": report.fit.n_tail,
-            "dropped_zeros": report.fit.dropped_zeros,
-        }
+        out["power_law_fit"] = _fit_dict(report.fit)
     if report.spectral is not None:
-        out["spectral"] = {
-            "lambda1": report.spectral.lambda1,
-            "lambda2": report.spectral.lambda2,
-            "gap": report.spectral.gap,
-            "stable": report.spectral.stable,
-            "zero_multiplicity": report.spectral.zero_multiplicity,
-            "closeness_threshold": report.spectral.closeness_threshold,
-        }
+        out["spectral"] = _spectral_dict(report.spectral)
     if report.resilience is not None:
         out["resilience"] = _resilience_dict(report.resilience)
     return out

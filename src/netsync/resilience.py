@@ -2,10 +2,12 @@
 
 One node is removed per step: uniformly at random (error tolerance, seeded)
 or the currently highest-degree node with ties broken by smallest id
-(attack tolerance, fully deterministic; degrees are recomputed after every
-removal). Trace rows are recorded at a configurable removal-fraction
-granularity. After fragmentation, the diameter reported is that of the
-largest remaining component, and 0 once that component is a single node.
+(attack tolerance, fully deterministic; each removal lowers its neighbors'
+degrees by one). The sweep keeps the input graph and the ascending list of
+surviving ids, and builds the survivors' graph only for a recorded row,
+whose granularity is a configurable removal fraction. After fragmentation,
+the diameter reported is that of the largest remaining component, and 0
+once that component is a single node.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .generators import rng_from_seed
 from .graph import Graph, connected_components, induced_subgraph
-from .metrics import all_pairs_distances
+from .metrics import _largest_component_diameter
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,11 @@ class ResilienceTrace:
 
 def _snapshot(fraction: float, g: Graph) -> TraceRow:
     parts = connected_components(g)
-    lcc = parts.largest()
-    if len(lcc) >= 2:
-        sub = g if len(lcc) == g.n else induced_subgraph(g, lcc)
-        d = all_pairs_distances(sub)
-        diam = int(d[np.isfinite(d)].max())
-    else:
-        diam = 0
+    diam = _largest_component_diameter(g, parts)
     return TraceRow(
         fraction_removed=fraction,
-        diameter=diam,
-        lcc_size=len(lcc),
+        diameter=0 if diam is None else diam,
+        lcc_size=max(parts.sizes),
         components=parts.count,
     )
 
@@ -94,23 +90,31 @@ def run_resilience(
     if not (0.0 < record_every <= 1.0):
         raise InputError(f"record_every must be in (0, 1], got {record_every}")
 
-    rng = rng_from_seed(strategy.seed) if isinstance(strategy, RandomError) else None
+    attack = isinstance(strategy, TargetedAttack)
+    rng = None if attack else rng_from_seed(strategy.seed)
+    # current degrees of the survivors; removed nodes are negative, so
+    # argmax (first maximum) is the highest-degree survivor with smallest id
+    degree = np.array(g.degrees(), dtype=np.int64)
+    adj = g.adjacency
+    alive = list(range(g.n))
     n0 = g.n
     stride = max(1, round(record_every * n0))
     rows = [_snapshot(0.0, g)]
-    current = g
     for removed in range(1, n0):
-        if isinstance(strategy, TargetedAttack):
-            degrees = current.degrees()
-            target = max(range(current.n), key=lambda i: (degrees[i], -i))
+        if attack:
+            target = int(np.argmax(degree))
+            alive.remove(target)
+            degree[adj[target]] -= 1
+            degree[target] = -1
         else:
-            target = int(rng.integers(0, current.n))
-        current, _ = current.remove_node(target)
+            # same draw as indexing the survivors' graph, whose ids follow
+            # the ascending order of ``alive``
+            alive.pop(int(rng.integers(0, len(alive))))
         if removed % stride == 0 or removed == n0 - 1:
-            rows.append(_snapshot(removed / n0, current))
+            rows.append(_snapshot(removed / n0, induced_subgraph(g, alive)))
     return ResilienceTrace(
-        strategy="attack" if isinstance(strategy, TargetedAttack) else "error",
-        seed=strategy.seed if isinstance(strategy, RandomError) else None,
+        strategy="attack" if attack else "error",
+        seed=None if attack else strategy.seed,
         initial_n=n0,
         rows=rows,
     )

@@ -136,7 +136,13 @@ def make_dynamics(spec: str) -> Dynamics:
     factory = DYNAMICS_REGISTRY[name]
     if arg:
         try:
-            return factory(float(arg))
+            value = float(arg)
+        except ValueError:
+            raise InputError(
+                f"dynamics {name!r}: parameter {arg.strip()!r} is not a number"
+            ) from None
+        try:
+            return factory(value)
         except TypeError:
             raise InputError(f"dynamics {name!r} takes no parameter") from None
     try:

@@ -167,3 +167,64 @@ class TestExitCodes:
     def test_invalid_generator_params(self, tmp_path):
         assert main(["generate", "ba", "--n", "3", "--m", "5",
                      "--out", str(tmp_path / "x.edges")]) == 2
+
+    def test_non_numeric_dynamics_parameter(self, ba_file, capsys):
+        argv = ["sync", "--edge-list", str(ba_file), "--dynamics", "linear:abc"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "'abc'" in err
+
+    def test_resilience_needs_a_positive_seed_count(self, ba_file, capsys):
+        for count in ("0", "-3"):
+            argv = ["resilience", "--edge-list", str(ba_file), "--strategy",
+                    "error", "--seeds", count]
+            assert main(argv) == 2
+            assert "--seeds" in capsys.readouterr().err
+
+
+class TestPipelineConfigErrors:
+    """Every malformed config is an input error (exit 2) naming its field."""
+
+    GOOD = {
+        "input": {"generate": {"model": "er", "n": 20, "edges": 40, "seed": 1}},
+        "stages": ["resilience"],
+    }
+
+    def run(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main(["pipeline", "--config", str(path),
+                     "--out", str(tmp_path / "report.json")])
+        return code, capsys.readouterr().err
+
+    def test_malformed_json(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, '{"input": ')
+        assert code == 2 and "--config" in err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "[]")
+        assert code == 2 and "config: expected a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "resilience, field",
+        [
+            ({"strategy": "error", "seeds": "x"}, "resilience.seeds"),
+            ({"strategy": "error", "seeds": 2.5}, "resilience.seeds"),
+            ({"strategy": "error", "seed": "x"}, "resilience.seed"),
+            ({"strategy": "error", "seed": 1.5}, "resilience.seed"),
+            ({"record_every": 0}, "resilience.record_every"),
+            ({"record_every": 1.5}, "resilience.record_every"),
+            ({"record_every": -0.1}, "resilience.record_every"),
+            ({"record_every": "often"}, "resilience.record_every"),
+        ],
+    )
+    def test_bad_resilience_field(self, tmp_path, capsys, resilience, field):
+        cfg = dict(self.GOOD, resilience=resilience)
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and f"{field}:" in err
+
+    def test_good_config_runs(self, tmp_path, capsys):
+        cfg = dict(self.GOOD, resilience={"strategy": "error", "seeds": 2,
+                                          "seed": 4, "record_every": 1})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 0 and err == ""

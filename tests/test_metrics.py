@@ -204,14 +204,6 @@ class TestBetweenness:
             got = betweenness_centrality(g)
             assert np.allclose(got, expected, atol=1e-9)
 
-    def test_threads_bitwise_identical(self):
-        from netsync.generators import ERParams, generate_er
-
-        g = generate_er(ERParams(n=60, m=150, seed=21))
-        single = betweenness_centrality(g, threads=1)
-        pooled = betweenness_centrality(g, threads=4)
-        assert np.array_equal(single, pooled)
-
 
 class TestEigenvector:
     def test_complete_symmetry(self):

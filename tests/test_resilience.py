@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from netsync.errors import InputError
+from netsync.generators import BAParams, generate_ba
 from netsync.graph import Graph
 from netsync.resilience import (
     RandomError,
@@ -120,3 +122,66 @@ def test_ensemble_envelope_orders():
 def test_ensemble_needs_seeds():
     with pytest.raises(InputError):
         run_error_ensemble(complete(4), [])
+
+
+# -- differential tests against networkx ------------------------------------------
+
+
+def networkx_trace(g, strategy, record_every=0.02):
+    """The rows of ``run_resilience`` recomputed with networkx: the same
+    removal order (attack: highest current degree, ties to the smallest id;
+    error: PCG64(seed) index into the ascending survivors), then components,
+    largest-component size and its diameter on the survivors. Of equal-size
+    largest components, the one holding the smallest id is measured."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    rng = None
+    if isinstance(strategy, RandomError):
+        rng = np.random.Generator(np.random.PCG64(strategy.seed))
+    stride = max(1, round(record_every * g.n))
+
+    def row(fraction):
+        comps = list(nx.connected_components(h))
+        lcc = max(comps, key=lambda c: (len(c), -min(c)))
+        diam = nx.diameter(h.subgraph(lcc), usebounds=True) if len(lcc) >= 2 else 0
+        return (fraction, diam, len(lcc), len(comps))
+
+    rows = [row(0.0)]
+    for removed in range(1, g.n):
+        survivors = sorted(h.nodes)
+        if rng is None:
+            target = max(survivors, key=lambda v: (h.degree(v), -v))
+        else:
+            target = survivors[int(rng.integers(0, len(survivors)))]
+        h.remove_nodes_from([target])
+        if removed % stride == 0 or removed == g.n - 1:
+            rows.append(row(removed / g.n))
+    return rows
+
+
+def netsync_rows(trace):
+    return [
+        (r.fraction_removed, r.diameter, r.lcc_size, r.components)
+        for r in trace.rows
+    ]
+
+
+@pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=5)])
+def test_matches_networkx_on_ba_300(strategy):
+    g = generate_ba(BAParams(n=300, m=3, seed=11))
+    assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
+
+
+@pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
+def test_matches_networkx_with_tied_largest_components(strategy):
+    # a 40-cycle (diameter 20) on ids 0..39 and a 40-node BA graph on
+    # 40..79: the two largest components tie, and the cycle is measured
+    ba = generate_ba(BAParams(n=40, m=2, seed=3))
+    edges = [(i, (i + 1) % 40) for i in range(40)]
+    edges += [(u + 40, v + 40) for u, v in ba.edges()]
+    g = Graph(80, edges)
+    trace = run_resilience(g, strategy, record_every=0.05)
+    assert trace.rows[0].diameter == 20 and trace.rows[0].components == 2
+    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)
