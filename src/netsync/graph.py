@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -109,13 +110,10 @@ class Graph:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) view of the adjacency, for scipy.sparse consumers."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, nbrs in enumerate(self._adj):
-            indptr[i + 1] = indptr[i] + len(nbrs)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        pos = 0
-        for nbrs in self._adj:
-            indices[pos : pos + len(nbrs)] = nbrs
-            pos += len(nbrs)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(self._adj), dtype=np.int64, count=2 * self.m
+        )
         return indptr, indices
 
     def __repr__(self) -> str:

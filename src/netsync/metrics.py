@@ -1,10 +1,11 @@
 """Topology metrics and node centralities.
 
 All functions are pure reads of an immutable graph. Single-source distances
-use a plain BFS; whole-matrix distance computations go through
-scipy.sparse.csgraph, which runs the same unweighted BFS in C. Betweenness
-is Brandes' accumulation; eigenvector centrality is power iteration on the
-adjacency matrix of the largest component.
+use a plain BFS. Path length, diameter, closeness and betweenness come from
+one sweep that runs the BFS from a block of sources at once by sparse matrix
+products, with Brandes' accumulation run backwards over the same levels and
+reduced in a fixed block order. Eigenvector centrality is power iteration on
+the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import DegenerateInputError, InputError, NumericalError
 from .graph import ComponentPartition, Graph, connected_components, induced_subgraph
@@ -45,19 +46,66 @@ def shortest_path_lengths(g: Graph, source: int) -> list[float]:
 
 def _adjacency_csr(g: Graph) -> csr_matrix:
     indptr, indices = g.csr_arrays()
-    data = np.ones(len(indices), dtype=np.int8)
+    data = np.ones(len(indices))
     return csr_matrix((data, indices, indptr), shape=(g.n, g.n))
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Dense (n, n) matrix of hop counts; np.inf marks unreachable pairs."""
-    if g.n == 0:
-        return np.zeros((0, 0))
-    if g.m == 0:
-        d = np.full((g.n, g.n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return d
-    return _csgraph_shortest_path(_adjacency_csr(g), method="D", unweighted=True)
+_BLOCK = 64  # sources per sweep block; its working arrays are (n, _BLOCK)
+
+
+class _Sweep(NamedTuple):
+    dist_sums: np.ndarray
+    reached: np.ndarray
+    eccentricity: np.ndarray
+    betweenness: np.ndarray | None
+
+
+def _source_sweep(g: Graph, sources: Sequence[int], brandes: bool = False) -> _Sweep:
+    """Level-synchronous BFS from ``sources``, _BLOCK of them at a time.
+
+    Column j of a block's frontier holds the shortest-path counts sigma of
+    the nodes at the current depth from source j; ``A @ frontier`` advances
+    every column one level. Per source: exact int64 distance sums, nodes
+    reached besides the source, and eccentricity. With ``brandes``, each
+    block runs Brandes' backward pass level by level from the deepest,
+    delta += [level == k-1] * sigma * (A @ ([level == k] * (1 + delta) / sigma)),
+    and its per-node dependencies are added to the total in block order.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    sums, reached, ecc = np.zeros((3, len(src)), dtype=np.int64)
+    between = np.zeros(g.n) if brandes else None
+    a = _adjacency_csr(g)
+    for lo in range(0, len(src), _BLOCK):
+        block = src[lo : lo + _BLOCK]
+        part = slice(lo, lo + len(block))
+        level = np.full((g.n, len(block)), -1, dtype=np.int32)
+        level[block, np.arange(len(block))] = 0
+        sigma = (level == 0).astype(np.float64)
+        frontier, depth = sigma, 0
+        while True:
+            paths = a @ frontier
+            new = (paths > 0) & (level < 0)
+            counts = np.count_nonzero(new, axis=0)
+            if not counts.any():
+                break
+            depth += 1
+            level += np.int32(depth + 1) * new
+            sums[part] += depth * counts
+            reached[part] += counts
+            ecc[part][counts > 0] = depth
+            frontier = paths * new if brandes else new.astype(np.float64)
+            if brandes:
+                sigma += frontier
+        if brandes:
+            if not np.isfinite(sigma).all():
+                raise NumericalError("shortest-path counts overflow float64")
+            sigma[level < 0] = 1.0  # unreached: never read, kept off zero
+            delta = np.zeros_like(sigma)
+            for k in range(depth, 1, -1):
+                coeff = (1.0 + delta) / sigma * (level == k)
+                delta += sigma * (a @ coeff) * (level == k - 1)
+            between += delta.sum(axis=1)
+    return _Sweep(sums, reached, ecc, between)
 
 
 @dataclass(frozen=True)
@@ -67,35 +115,34 @@ class PathLengthStats:
     reachable_pairs: int
 
 
-def average_path_length(g: Graph) -> PathLengthStats:
-    """Mean distance over unordered reachable pairs, with the fraction of
-    pairs that are unreachable reported alongside."""
-    if g.n < 2:
+def _path_length_stats(n: int, sweep: _Sweep) -> PathLengthStats:
+    # a sweep over every source sees each unordered pair from both ends
+    if n < 2:
         raise InputError("average path length needs at least 2 nodes")
-    d = all_pairs_distances(g)
-    iu = np.triu_indices(g.n, k=1)
-    vals = d[iu]
-    finite = np.isfinite(vals)
-    reachable = int(finite.sum())
+    reachable = int(sweep.reached.sum()) // 2
     if reachable == 0:
         raise DegenerateInputError("no reachable pairs: all nodes are isolated")
-    total = vals.size
+    total = n * (n - 1) // 2
     return PathLengthStats(
-        mean=float(vals[finite].sum() / reachable),
-        unreachable_fraction=float((total - reachable) / total),
+        mean=int(sweep.dist_sums.sum()) // 2 / reachable,
+        unreachable_fraction=(total - reachable) / total,
         reachable_pairs=reachable,
     )
 
 
+def average_path_length(g: Graph) -> PathLengthStats:
+    """Mean distance over unordered reachable pairs, with the fraction of
+    pairs that are unreachable reported alongside."""
+    return _path_length_stats(g.n, _source_sweep(g, range(g.n)))
+
+
 def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | None:
-    """Diameter of the largest component of ``g``, given its partition;
-    None when that component has fewer than 2 nodes."""
+    """Diameter of the largest component of ``g``, given its partition,
+    from a sweep of its nodes; None when it has fewer than 2 nodes."""
     largest = parts.largest()
     if len(largest) < 2:
         return None
-    sub = g if len(largest) == g.n else induced_subgraph(g, largest)
-    d = all_pairs_distances(sub)
-    return int(d[np.isfinite(d)].max())
+    return int(_source_sweep(g, largest).eccentricity.max())
 
 
 def diameter(g: Graph) -> int:
@@ -165,60 +212,18 @@ def closeness_centrality(g: Graph, i: int) -> float:
 
 def closeness_vector(g: Graph) -> np.ndarray:
     """Closeness for every node at once; isolated nodes get nan."""
-    d = all_pairs_distances(g)
-    d = np.where(np.isfinite(d), d, 0.0)
-    sums = d.sum(axis=1)
-    out = np.full(g.n, np.nan)
-    nz = sums > 0
-    out[nz] = 1.0 / sums[nz]
-    return out
-
-
-def _brandes_source(adj: list[list[int]], n: int, s: int) -> np.ndarray:
-    """Dependency accumulation of one source: Brandes' algorithm."""
-    sigma = [0.0] * n
-    dist = [-1] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    sigma[s] = 1.0
-    dist[s] = 0
-    order: list[int] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv = dist[v]
-        sv = sigma[v]
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-                preds[w].append(v)
-    delta = [0.0] * n
-    contrib = np.zeros(n)
-    for w in reversed(order):
-        coeff = (1.0 + delta[w]) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-        if w != s:
-            contrib[w] = delta[w]
-    return contrib
+    sums = _source_sweep(g, range(g.n)).dist_sums
+    return np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Unnormalized betweenness: for each node v, the sum over unordered
     pairs (s, t) of the fraction of s-t shortest paths through v.
 
-    Per-source accumulations are reduced in ascending source order.
+    Per-source dependencies are reduced in a fixed block order.
     """
-    n = g.n
-    adj = g.adjacency
-    total = np.zeros(n)
-    for s in range(n):
-        total += _brandes_source(adj, n, s)
     # each unordered pair was seen from both endpoints
-    return total / 2.0
+    return _source_sweep(g, range(g.n), brandes=True).betweenness / 2.0
 
 
 def eigenvector_centrality(
@@ -237,7 +242,7 @@ def eigenvector_centrality(
     parts = connected_components(g)
     largest = parts.largest()
     sub = g if len(largest) == g.n else induced_subgraph(g, largest)
-    a = _adjacency_csr(sub).astype(np.float64)
+    a = _adjacency_csr(sub)
     v = np.full(sub.n, 1.0 / sub.n)
     for iteration in range(1, max_iter + 1):
         w = a @ v + v
@@ -294,24 +299,24 @@ class GraphSummary:
 
 
 def summarize(g: Graph) -> GraphSummary:
-    """Whole-graph statistics; degenerate metrics are reported as None."""
+    """Whole-graph statistics; degenerate metrics are reported as None.
+    One sweep of every source gives the path lengths and the diameter."""
     parts = connected_components(g)
-    apl = None
-    frac = None
-    clust = None
-    if g.n >= 1:
-        clust = global_clustering(g)
+    sweep = _source_sweep(g, range(g.n))
+    apl = frac = None
+    clust = global_clustering(g) if g.n >= 1 else None
     try:
-        stats = average_path_length(g)
+        stats = _path_length_stats(g.n, sweep)
         apl = stats.mean
         frac = stats.unreachable_fraction
     except (InputError, DegenerateInputError):
         pass
+    largest = parts.largest()
     return GraphSummary(
         n=g.n,
         m=g.m,
         average_path_length=apl,
-        diameter=_largest_component_diameter(g, parts),
+        diameter=int(sweep.eccentricity[largest].max()) if len(largest) >= 2 else None,
         global_clustering=clust,
         degree_distribution=degree_distribution(g) if g.n else {},
         unreachable_pair_fraction=frac,
@@ -322,9 +327,11 @@ def summarize(g: Graph) -> GraphSummary:
 
 def node_stats(g: Graph) -> list[NodeStats]:
     """Per-node table: degree, clustering, closeness, betweenness,
-    eigenvector centrality."""
-    closeness = closeness_vector(g)
-    betweenness = betweenness_centrality(g)
+    eigenvector centrality. Closeness and betweenness come from one sweep."""
+    sweep = _source_sweep(g, range(g.n), brandes=True)
+    sums = sweep.dist_sums
+    closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
+    betweenness = sweep.betweenness / 2.0
     if g.m > 0:
         eigen = eigenvector_centrality(g)
     else:

@@ -76,12 +76,12 @@ class PipelineConfig:
                 raise InputError(
                     f"input.generate.model: expected 'ba' or 'er', got {gen['model']!r}"
                 )
-            if "n" not in gen:
-                raise InputError("input.generate.n: required")
-            if gen["model"] == "ba" and "m" not in gen:
-                raise InputError("input.generate.m: required for the ba model")
-            if gen["model"] == "er" and "edges" not in gen and "m" not in gen:
-                raise InputError("input.generate.edges: required for the er model")
+            # the er model takes its edge count as "edges" or, failing that, "m"
+            er_edges = gen["model"] == "er" and ("edges" in gen or "m" not in gen)
+            for key in ("n", "edges" if er_edges else "m"):
+                _integer(gen, "input.generate", key)
+            for key in ("m0", "seed"):
+                _integer(gen, "input.generate", key, default=0)
             cfg.generate = dict(gen)
 
         stages = raw.get("stages", "all")
@@ -95,7 +95,10 @@ class PipelineConfig:
         else:
             raise InputError("stages: expected 'all' or a list of stage names")
 
-        cfg.deterministic = bool(raw.get("deterministic", False))
+        deterministic = raw.get("deterministic", False)
+        if not isinstance(deterministic, bool):
+            raise InputError(f"deterministic: expected a boolean, got {deterministic!r}")
+        cfg.deterministic = deterministic
 
         res = raw.get("resilience", {})
         if not isinstance(res, dict):
@@ -106,10 +109,10 @@ class PipelineConfig:
                 f"resilience.strategy: expected 'attack' or 'error', "
                 f"got {cfg.resilience_strategy!r}"
             )
-        cfg.resilience_seeds = _integer(res, "seeds", 1)
+        cfg.resilience_seeds = _integer(res, "resilience", "seeds", 1)
         if cfg.resilience_seeds < 1:
             raise InputError("resilience.seeds: must be >= 1")
-        cfg.resilience_seed = _integer(res, "seed", 0)
+        cfg.resilience_seed = _integer(res, "resilience", "seed", 0)
         every = res.get("record_every", 0.02)
         if isinstance(every, bool) or not isinstance(every, (int, float)):
             raise InputError(f"resilience.record_every: expected a number, got {every!r}")
@@ -119,10 +122,14 @@ class PipelineConfig:
         return cfg
 
 
-def _integer(res: dict[str, Any], key: str, default: int) -> int:
-    value = res.get(key, default)
+def _integer(obj: dict[str, Any], path: str, key: str, default: int | None = None) -> int:
+    """``<path>.<key>``, which must be an integer; an absent key takes
+    ``default``, and is an error when there is none."""
+    if key not in obj and default is None:
+        raise InputError(f"{path}.{key}: required")
+    value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"resilience.{key}: expected an integer, got {value!r}")
+        raise InputError(f"{path}.{key}: expected an integer, got {value!r}")
     return value
 
 
@@ -145,29 +152,13 @@ def _resolve_graph(cfg: PipelineConfig) -> tuple[Graph, dict[str, Any]]:
             "duplicates_collapsed": result.duplicate_count,
         }
         return result.graph, descriptor
-    gen = dict(cfg.generate)
-    model = gen.pop("model")
-    seed = int(gen.pop("seed", 0))
-    try:
-        if model == "ba":
-            m0_val = gen.pop("m0", None)
-            params = BAParams(
-                n=int(gen.pop("n")),
-                m=int(gen.pop("m")),
-                m0=int(m0_val) if m0_val is not None else None,
-                seed=seed,
-            )
-            graph = generate_ba(params)
-        else:
-            edges_val = gen.pop("edges", None)
-            if edges_val is None:
-                edges_val = gen.pop("m", None)
-            if edges_val is None:
-                raise InputError("input.generate.edges: required")
-            params = ERParams(n=int(gen.pop("n")), m=int(edges_val), seed=seed)
-            graph = generate_er(params)
-    except KeyError as exc:
-        raise InputError(f"input.generate.{exc.args[0]}: required") from exc
+    gen, model = cfg.generate, cfg.generate["model"]
+    seed = gen.get("seed", 0)
+    if model == "ba":
+        graph = generate_ba(BAParams(n=gen["n"], m=gen["m"], m0=gen.get("m0"), seed=seed))
+    else:
+        edges = gen["edges"] if "edges" in gen else gen["m"]
+        graph = generate_er(ERParams(n=gen["n"], m=edges, seed=seed))
     descriptor = {"generator": {"model": model, "seed": seed, "n": graph.n, "m": graph.m}}
     return graph, descriptor
 

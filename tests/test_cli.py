@@ -223,6 +223,28 @@ class TestPipelineConfigErrors:
         code, err = self.run(tmp_path, capsys, json.dumps(cfg))
         assert code == 2 and f"{field}:" in err
 
+    @pytest.mark.parametrize(
+        "generate, field",
+        [
+            ({"model": "ba", "n": "abc", "m": 2}, "input.generate.n"),
+            ({"model": "ba", "n": 20, "m": 2.5}, "input.generate.m"),
+            ({"model": "ba", "n": 20, "m": True}, "input.generate.m"),
+            ({"model": "ba", "n": 20, "m": 2, "m0": "3"}, "input.generate.m0"),
+            ({"model": "er", "n": 20, "edges": [40]}, "input.generate.edges"),
+            ({"model": "er", "n": 20, "edges": 40, "seed": 1.5}, "input.generate.seed"),
+            ({"model": "er", "n": 20, "edges": 40, "seed": False}, "input.generate.seed"),
+        ],
+    )
+    def test_bad_generator_field(self, tmp_path, capsys, generate, field):
+        cfg = dict(self.GOOD, input={"generate": generate})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and f"{field}:" in err
+
+    def test_deterministic_must_be_boolean(self, tmp_path, capsys):
+        cfg = dict(self.GOOD, deterministic="false")
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and "deterministic:" in err
+
     def test_good_config_runs(self, tmp_path, capsys):
         cfg = dict(self.GOOD, resilience={"strategy": "error", "seeds": 2,
                                           "seed": 4, "record_every": 1})

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from netsync.errors import DegenerateInputError, InputError
 from netsync.graph import Graph
+from netsync.generators import BAParams, generate_ba
 from netsync.metrics import (
-    all_pairs_distances,
     average_path_length,
     betweenness_centrality,
     closeness_centrality,
+    closeness_vector,
     degree_distribution,
     diameter,
     eigenvector_centrality,
@@ -23,7 +24,7 @@ from netsync.metrics import (
     summarize,
 )
 
-from oracles import brute_force_betweenness
+from oracles import brute_force_betweenness, brute_force_distance
 
 INF = math.inf
 
@@ -67,13 +68,13 @@ class TestShortestPaths:
         with pytest.raises(InputError):
             shortest_path_lengths(path(3), 5)
 
-    def test_matches_matrix_form(self):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             g = random_graph(rng)
-            dense = all_pairs_distances(g)
             for s in range(g.n):
-                assert list(dense[s]) == shortest_path_lengths(g, s)
+                expected = [brute_force_distance(g, s, t) for t in range(g.n)]
+                assert shortest_path_lengths(g, s) == expected
 
 
 class TestAveragePathLength:
@@ -183,6 +184,15 @@ class TestCloseness:
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
         assert closeness_centrality(g, 3) == 0.5
 
+    def test_vector_matches_brute_force(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            g = random_graph(rng, max_n=8)
+            for s, got in enumerate(closeness_vector(g)):
+                dist = [brute_force_distance(g, s, t) for t in range(g.n)]
+                total = sum(d for d in dist if d != INF)
+                assert got == 1.0 / total if total else math.isnan(got)
+
 
 class TestBetweenness:
     def test_p3(self):
@@ -271,9 +281,10 @@ class TestEdgeMonotonicity:
                 continue
             u, v = missing[rng.integers(0, len(missing))]
             augmented = Graph(g.n, list(g.edges()) + [(u, v)])
-            before = all_pairs_distances(g)
-            after = all_pairs_distances(augmented)
-            assert np.all(after <= before)
+            for s in range(g.n):
+                before = shortest_path_lengths(g, s)
+                after = shortest_path_lengths(augmented, s)
+                assert all(a <= b for a, b in zip(after, before))
 
 
 class TestSummary:
@@ -319,3 +330,104 @@ class TestNodeStats:
         rows = node_stats(Graph(3, [(0, 1)]))
         assert rows[2].closeness is None
         assert rows[2].eigenvector == 0.0
+
+
+class TestEdgeCases:
+    def test_empty_graph(self):
+        g = Graph(0)
+        s = summarize(g)
+        assert (s.n, s.average_path_length, s.diameter, s.component_count) == (0, None, None, 0)
+        assert closeness_vector(g).shape == (0,)
+        assert betweenness_centrality(g).shape == (0,)
+        assert node_stats(g) == []
+        with pytest.raises(InputError):
+            diameter(g)
+
+    def test_single_node(self):
+        g = Graph(1)
+        s = summarize(g)
+        assert s.average_path_length is None and s.diameter is None
+        assert s.unreachable_pair_fraction is None
+        assert list(betweenness_centrality(g)) == [0.0]
+        (row,) = node_stats(g)
+        assert row.closeness is None and row.betweenness == 0.0
+
+    def test_edgeless(self):
+        g = Graph(5)
+        assert np.isnan(closeness_vector(g)).all()
+        assert list(betweenness_centrality(g)) == [0.0] * 5
+        assert all(r.closeness is None for r in node_stats(g))
+        s = summarize(g)
+        assert s.average_path_length is None and s.diameter is None
+        assert s.unreachable_pair_fraction is None
+
+    def test_isolated_node_among_components(self):
+        g = Graph(6, [(0, 1), (1, 2), (4, 5)])
+        c = closeness_vector(g)
+        assert np.isnan(c).tolist() == [False, False, False, True, False, False]
+        assert c[1] == 0.5 and c[4] == 1.0
+        assert node_stats(g)[3].closeness is None
+        stats = average_path_length(g)
+        # reachable pairs: three in the path, one in the edge, of 15
+        assert stats.reachable_pairs == 4
+        assert stats.mean == pytest.approx(5.0 / 4.0, abs=1e-15)
+        assert stats.unreachable_fraction == pytest.approx(11.0 / 15.0, abs=1e-15)
+
+
+# -- differential tests against networkx ------------------------------------------
+
+
+def to_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def tied_components():
+    """A 250-node tree on the odd ids and a 250-node BA graph (m=3) on the
+    even ids: the two components tie for largest, node 0 puts the BA graph
+    first, and the tree has the larger diameter."""
+    tree = generate_ba(BAParams(n=250, m=1, seed=3))
+    dense = generate_ba(BAParams(n=250, m=3, seed=4))
+    edges = [(2 * u, 2 * v) for u, v in dense.edges()]
+    edges += [(2 * u + 1, 2 * v + 1) for u, v in tree.edges()]
+    return Graph(500, edges)
+
+
+DIFFERENTIAL_GRAPHS = {
+    "ba500": lambda: generate_ba(BAParams(n=500, m=3, seed=21)),
+    "tied": tied_components,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_distances_match_networkx(name):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(g)
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    sums = [sum(lengths[v].values()) for v in range(g.n)]
+    expected = np.array([1.0 / s if s else np.nan for s in sums])
+    assert np.array_equal(closeness_vector(g), expected, equal_nan=True)
+
+    reachable = sum(len(lengths[v]) - 1 for v in range(g.n)) // 2
+    pairs = g.n * (g.n - 1) // 2
+    s = summarize(g)
+    assert s.average_path_length == pytest.approx(sum(sums) / 2 / reachable, rel=1e-12)
+    assert s.unreachable_pair_fraction == pytest.approx((pairs - reachable) / pairs, rel=1e-12)
+    lcc = max(nx.connected_components(h), key=lambda c: (len(c), -min(c)))
+    assert s.diameter == diameter(g) == nx.diameter(h.subgraph(lcc))
+    if name == "tied":
+        assert s.diameter < nx.diameter(h.subgraph(range(1, g.n, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_betweenness_matches_networkx(name):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    expected = nx.betweenness_centrality(to_networkx(g), normalized=False)
+    got = betweenness_centrality(g)
+    assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-9, abs=1e-9)
+    assert [r.betweenness for r in node_stats(g)] == list(got)

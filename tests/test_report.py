@@ -54,6 +54,11 @@ class TestConfigParsing:
         with pytest.raises(InputError, match="resilience.strategy"):
             er_config(resilience={"strategy": "nuke"})
 
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_deterministic_must_be_boolean(self, value):
+        with pytest.raises(InputError, match="deterministic"):
+            er_config(deterministic=value)
+
     def test_missing_generator_field(self):
         with pytest.raises(InputError, match="input.generate"):
             PipelineConfig.from_dict(
