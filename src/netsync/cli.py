@@ -204,9 +204,9 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         state_dim=args.state_dim,
         dynamics=args.dynamics,
     )
-    rng = rng_from_seed(args.seed)
-    x0 = rng.standard_normal((result.graph.n, args.state_dim))
-    traj = simulate(result.graph, cfg, x0)
+    cfg.validate(result.graph.n, keep_states=args.full)
+    x0 = rng_from_seed(args.seed).standard_normal((result.graph.n, args.state_dim))
+    traj = simulate(result.graph, cfg, x0, keep_states=args.full)
     _emit(trajectory_csv(traj, full=args.full), args.out)
     return 0
 

@@ -393,9 +393,10 @@ def trajectory_csv(traj: SyncTrajectory, full: bool = False) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["t", "sync_error"]
-    n_nodes = traj.states.shape[1]
-    dim = traj.states.shape[2]
+    _, n_nodes, dim = traj.states.shape
     if full:
+        if len(traj.states) != len(traj.times):
+            raise InputError("per-node states were not kept (simulate keep_states=True)")
         header += [f"node{i}_s{d}" for i in range(n_nodes) for d in range(dim)]
     writer.writerow(header)
     for idx, t in enumerate(traj.times):

@@ -4,7 +4,8 @@ The coupling matrix is the adjacency matrix with its diagonal replaced by
 the negated degrees (equivalently, the negated graph Laplacian), so every
 row sums to zero and the all-ones vector is an equilibrium direction. A
 synchronized state is exponentially stable when the spectrum is 0 =
-lambda_1 > lambda_2 with a clear gap; the simulator integrates
+lambda_1 > lambda_2 with a clear gap (from the dense matrix); the simulator
+integrates, on the sparse coupling operator (scipy CSR),
 
     dx_i/dt = f(x_i) + c * sum_j a_ij * Gamma @ (x_j - x_i)
 
@@ -14,10 +15,13 @@ state mean.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DivergenceError, InputError, NumericalError
 from .graph import Graph
@@ -27,19 +31,17 @@ MAX_EIGEN_N = 5000
 Dynamics = Callable[[np.ndarray], np.ndarray]
 
 
-def coupling_matrix(g: Graph) -> np.ndarray:
-    """Dense coupling matrix: a_ij = 1 on edges, a_ii = -k_i.
+def _coupling_operator(g: Graph) -> sparse.csr_matrix:
+    """Sparse coupling matrix: a_ij = 1 on edges, a_ii = -k_i. Every entry is
+    a small integer, exact in float64, so row sums are exactly zero."""
+    indptr, indices = g.csr_arrays()
+    adjacency = sparse.csr_matrix((np.ones(indices.size), indices, indptr), (g.n, g.n))
+    return (adjacency - sparse.diags(np.diff(indptr).astype(np.float64))).tocsr()
 
-    Assembled in integer arithmetic so row sums are exactly zero before the
-    cast to float.
-    """
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
-    for i in range(g.n):
-        a[i, i] = -len(g.adjacency[i])
-    return a.astype(np.float64)
+
+def coupling_matrix(g: Graph) -> np.ndarray:
+    """Dense form of the sparse coupling operator."""
+    return _coupling_operator(g).toarray()
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ def spectral_stability(
 # -- node dynamics registry ----------------------------------------------------
 
 
-def _zero() -> Dynamics:
-    return lambda x: np.zeros_like(x)
+def _no_dynamics(x: np.ndarray) -> np.ndarray:
+    return np.zeros_like(x)
 
 
 def _linear(alpha: float) -> Dynamics:
@@ -114,7 +116,7 @@ def _logistic(r: float) -> Dynamics:
 
 
 DYNAMICS_REGISTRY: dict[str, Callable[..., Dynamics]] = {
-    "zero": _zero,
+    "zero": lambda: _no_dynamics,
     "linear": _linear,
     "logistic": _logistic,
 }
@@ -153,11 +155,7 @@ def make_dynamics(spec: str) -> Dynamics:
 
 @dataclass
 class SyncConfig:
-    """Simulation settings for the coupled state equation.
-
-    The optional intra/inter split of the per-node state vector is carried
-    as metadata only; it does not alter the integration.
-    """
+    """Simulation settings for the coupled state equation."""
 
     c: float = 1.0
     dt: float = 0.01
@@ -166,10 +164,13 @@ class SyncConfig:
     state_dim: int = 1
     dynamics: str | Dynamics = "zero"
     inner_coupling: np.ndarray | None = None
-    intra_dims: int | None = None
-    inter_dims: int | None = None
 
-    def validate(self) -> None:
+    def validate(self, n: int = 0, keep_states: bool = False) -> None:
+        """Check the settings, and that the arrays ``simulate`` allocates
+        for ``n`` nodes fit in physical memory."""
+        for name in ("c", "dt", "t_max", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise InputError(f"dt must be positive, got {self.dt}")
         if self.t_max <= self.dt:
@@ -178,16 +179,6 @@ class SyncConfig:
             raise InputError(f"coupling strength must be positive, got {self.c}")
         if self.state_dim < 1:
             raise InputError(f"state_dim must be >= 1, got {self.state_dim}")
-        if (self.intra_dims is None) != (self.inter_dims is None):
-            raise InputError("intra_dims and inter_dims must be given together")
-        if self.intra_dims is not None:
-            if self.intra_dims < 0 or self.inter_dims < 0:
-                raise InputError("state split parts must be non-negative")
-            if self.intra_dims + self.inter_dims != self.state_dim:
-                raise InputError(
-                    f"state split {self.intra_dims}+{self.inter_dims} "
-                    f"!= state_dim {self.state_dim}"
-                )
         if self.inner_coupling is not None:
             gamma = np.asarray(self.inner_coupling)
             if gamma.shape != (self.state_dim, self.state_dim):
@@ -195,6 +186,13 @@ class SyncConfig:
                     f"inner coupling must be {self.state_dim}x{self.state_dim}, "
                     f"got shape {gamma.shape}"
                 )
+        # times and errors; kept states (or the last); one RK4 step's 8 arrays
+        rows = self.t_max / self.dt + 1.0
+        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 8)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8.0 * floats > memory:
+            raise InputError(f"{rows - 1:.6g} steps of {n} nodes need {8.0 * floats:.6g} "
+                             f"bytes, more than the {memory} bytes of physical memory")
 
     def resolve_dynamics(self) -> Dynamics:
         if callable(self.dynamics):
@@ -205,52 +203,51 @@ class SyncConfig:
 @dataclass
 class SyncTrajectory:
     times: np.ndarray
-    states: np.ndarray  # (steps + 1, n_nodes, state_dim)
+    states: np.ndarray  # (steps + 1 if kept else 1, n_nodes, state_dim)
     sync_error: np.ndarray
     synchronized_at: float | None = None
     config: SyncConfig | None = field(default=None, repr=False)
 
 
-def _max_deviation(x: np.ndarray) -> float:
-    return float(np.abs(x - x.mean(axis=0)).max())
-
-
-def simulate(g: Graph, cfg: SyncConfig, x0: np.ndarray) -> SyncTrajectory:
-    """Integrate the coupled network with fixed-step RK4 and record the
-    per-step worst-case deviation from the state mean."""
-    cfg.validate()
+def simulate(
+    g: Graph, cfg: SyncConfig, x0: np.ndarray, keep_states: bool = False
+) -> SyncTrajectory:
+    """Integrate with fixed-step RK4, recording the per-step worst-case deviation
+    from the state mean; every step's state is kept only for ``keep_states``."""
+    if g.n == 0:
+        raise InputError("simulation needs at least 1 node")
+    cfg.validate(g.n, keep_states)
     x = np.array(x0, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape != (g.n, cfg.state_dim):
-        raise InputError(
-            f"x0 must have shape ({g.n}, {cfg.state_dim}), got {x.shape}"
-        )
+        raise InputError(f"x0 must have shape ({g.n}, {cfg.state_dim}), got {x.shape}")
     f = cfg.resolve_dynamics()
-    gamma = (
-        np.eye(cfg.state_dim)
-        if cfg.inner_coupling is None
-        else np.asarray(cfg.inner_coupling, dtype=np.float64)
-    )
-    coupling = coupling_matrix(g)
-    c = cfg.c
+    gamma = np.eye(cfg.state_dim) if cfg.inner_coupling is None else cfg.inner_coupling
+    gamma = np.asarray(gamma, dtype=np.float64)
+    coupling = cfg.c * _coupling_operator(g)
     identity_gamma = np.allclose(gamma, np.eye(cfg.state_dim))
 
     def deriv(state: np.ndarray) -> np.ndarray:
-        mixed = coupling @ state
+        # spmatrix `*` is the matrix product, without `@`'s scalar check
+        mixed = coupling * state
         if not identity_gamma:
             mixed = mixed @ gamma.T
-        return f(state) + c * mixed
+        return mixed if f is _no_dynamics else f(state) + mixed
+
+    def max_deviation(state: np.ndarray) -> np.float64:
+        # sum / n is bitwise equal to state.mean(axis=0)
+        return np.abs(state - state.sum(axis=0) / g.n).max()
 
     steps = int(round(cfg.t_max / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
-    states = np.empty((steps + 1, g.n, cfg.state_dim))
-    errors = np.empty(steps + 1)
+    states = np.empty((steps + 1 if keep_states else 1, g.n, cfg.state_dim))
     states[0] = x
-    errors[0] = _max_deviation(x)
+    errors = np.empty(steps + 1)
+    errors[0] = max_deviation(x)
     h = cfg.dt
     # overflow on the way to divergence is reported via DivergenceError,
-    # not as a numpy warning
+    # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             k1 = deriv(x)
@@ -258,15 +255,17 @@ def simulate(g: Graph, cfg: SyncConfig, x0: np.ndarray) -> SyncTrajectory:
             k3 = deriv(x + 0.5 * h * k2)
             k4 = deriv(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
+            errors[step] = error = max_deviation(x)
+            if not math.isfinite(error):
                 raise DivergenceError(
                     f"state became non-finite at t={times[step]:.6g}",
                     time=float(times[step]),
                 )
-            states[step] = x
-            errors[step] = _max_deviation(x)
+            if keep_states:
+                states[step] = x
     hits = np.nonzero(errors < cfg.tol)[0]
     synchronized_at = float(times[hits[0]]) if hits.size else None
+    states[-1] = x
     return SyncTrajectory(times, states, errors, synchronized_at, cfg)
 
 

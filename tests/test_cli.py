@@ -174,6 +174,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "'abc'" in err
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--dt", "nan"], "dt must be finite"),
+            (["--tmax", "nan"], "t_max must be finite"),
+            (["--tmax", "inf"], "t_max must be finite"),
+            (["--c", "nan"], "c must be finite"),
+            (["--tol", "nan"], "tol must be finite"),
+            (["--tmax", "1e15"], "bytes"),
+            (["--dt", "1e-300", "--tmax", "1"], "bytes"),
+            (["--dt", "1e-3", "--tmax", "1e6", "--full"], "bytes"),
+            (["--state-dim", "-1"], "state_dim"),
+        ],
+        ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tol-nan", "tmax-1e15",
+             "dt-1e-300", "full-states", "state-dim-negative"],
+    )
+    def test_bad_sync_numbers(self, ba_file, capsys, args, named):
+        assert main(["sync", "--edge-list", str(ba_file), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and named in err
+
+    def test_sync_on_empty_graph(self, tmp_path, capsys):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("")
+        assert main(["sync", "--edge-list", str(empty)]) == 2
+        assert "at least 1 node" in capsys.readouterr().err
+
     def test_resilience_needs_a_positive_seed_count(self, ba_file, capsys):
         for count in ("0", "-3"):
             argv = ["resilience", "--edge-list", str(ba_file), "--strategy",

@@ -12,7 +12,9 @@ from netsync.report import (
     report_to_dict,
     report_to_json,
     run_pipeline,
+    trajectory_csv,
 )
+from netsync.synchronization import SyncConfig, simulate
 
 
 def er_config(**overrides):
@@ -142,3 +144,16 @@ class TestPipeline:
         data = report_to_dict(report)
         assert data["resilience"]["kind"] == "ensemble"
         assert data["resilience"]["seeds"] == [0, 1, 2]
+
+
+class TestTrajectoryCsv:
+    def test_full_needs_kept_states(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        cfg = SyncConfig(dt=0.1, t_max=1.0)
+        x0 = [[1.0], [0.0], [-1.0]]
+        rows = trajectory_csv(simulate(g, cfg, x0, keep_states=True), full=True)
+        lines = rows.splitlines()
+        assert lines[0] == "t,sync_error,node0_s0,node1_s0,node2_s0"
+        assert len(lines) == 12
+        with pytest.raises(InputError, match="keep_states"):
+            trajectory_csv(simulate(g, cfg, x0), full=True)

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from netsync.errors import DivergenceError, InputError
 from netsync.graph import Graph
-from netsync.generators import ERParams, generate_er
+from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.synchronization import (
     SyncConfig,
     coupling_matrix,
@@ -143,8 +144,8 @@ class TestSimulate:
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
         cfg = SyncConfig(c=2.0, dt=0.01, t_max=3.0, dynamics="logistic:1.5")
         x0 = np.full((4, 1), 0.2)
-        traj = simulate(g, cfg, x0)
-        isolated = simulate(Graph(1), cfg, np.array([[0.2]]))
+        traj = simulate(g, cfg, x0, keep_states=True)
+        isolated = simulate(Graph(1), cfg, np.array([[0.2]]), keep_states=True)
         for node in range(4):
             assert np.allclose(
                 traj.states[:, node, :], isolated.states[:, 0, :], atol=1e-12
@@ -155,7 +156,7 @@ class TestSimulate:
         g = generate_er(ERParams(n=20, m=40, seed=2))
         rng = np.random.default_rng(1)
         cfg = SyncConfig(c=1.0, dt=0.01, t_max=10.0, dynamics="zero")
-        traj = simulate(g, cfg, rng.standard_normal((20, 1)))
+        traj = simulate(g, cfg, rng.standard_normal((20, 1)), keep_states=True)
         means = traj.states.mean(axis=1)[:, 0]
         assert np.abs(means - means[0]).max() <= 1e-8 * cfg.t_max
 
@@ -206,6 +207,87 @@ class TestSimulate:
         assert np.array_equal(traj.states[-1][:, 1], x0[:, 1])
 
 
+def dense_coupling(g):
+    """a_ij = 1 on edges, a_ii = -k_i, built from the edge list."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a - np.diag(a.sum(axis=1))
+
+
+def dense_rk4_errors(g, cfg, x0):
+    """Sync error series of a dense-matrix RK4 loop."""
+    a = dense_coupling(g)
+    f = cfg.resolve_dynamics()
+    gamma = np.eye(cfg.state_dim) if cfg.inner_coupling is None else cfg.inner_coupling
+    deriv = lambda s: f(s) + cfg.c * (a @ s) @ gamma.T  # noqa: E731
+    h, x = cfg.dt, np.array(x0, dtype=np.float64)
+    errors = [np.abs(x - x.mean(axis=0)).max()]
+    for _ in range(int(round(cfg.t_max / h))):
+        k1 = deriv(x)
+        k2 = deriv(x + 0.5 * h * k1)
+        k3 = deriv(x + 0.5 * h * k2)
+        k4 = deriv(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        errors.append(np.abs(x - x.mean(axis=0)).max())
+    return np.array(errors)
+
+
+class TestSparsePath:
+    """simulate on the sparse operator against dense and exact references."""
+
+    def test_matches_exact_consensus_solution(self):
+        g = generate_ba(BAParams(n=300, m=3, seed=4))
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=4.0, dynamics="zero")
+        x0 = np.random.default_rng(5).standard_normal((g.n, 1))
+        traj = simulate(g, cfg, x0)
+        w, v = np.linalg.eigh(dense_coupling(g))
+        late = traj.times >= 1.0
+        modes = np.exp(cfg.c * np.outer(traj.times[late], w)) * (v.T @ x0[:, 0])
+        exact = modes @ v.T  # (times, nodes)
+        exact_err = np.abs(exact - exact.mean(axis=1, keepdims=True)).max(axis=1)
+        np.testing.assert_allclose(traj.sync_error[late], exact_err, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "case", ["disconnected_with_isolated_node", "two_dim_gamma", "linear_dynamics"]
+    )
+    def test_matches_dense_rk4(self, case):
+        if case == "disconnected_with_isolated_node":
+            left = generate_er(ERParams(n=30, m=60, seed=1))
+            right = generate_er(ERParams(n=20, m=40, seed=2))
+            edges = list(left.edges()) + [(u + 30, v + 30) for u, v in right.edges()]
+            g = Graph(51, edges)  # node 50 is isolated
+            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero")
+        elif case == "two_dim_gamma":
+            g = generate_ba(BAParams(n=200, m=2, seed=3))
+            gamma = np.array([[1.0, 0.5], [0.0, 0.3]])
+            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero",
+                             state_dim=2, inner_coupling=gamma)
+        else:
+            g = generate_er(ERParams(n=60, m=150, seed=6))
+            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="linear:-0.3")
+        x0 = np.random.default_rng(7).standard_normal((g.n, cfg.state_dim))
+        got = simulate(g, cfg, x0).sync_error
+        ref = dense_rk4_errors(g, cfg, x0)
+        rows = ref > 1e-6 * ref[0]
+        assert rows.sum() > 100
+        np.testing.assert_allclose(got[rows], ref[rows], rtol=1e-10)
+
+    def test_final_state_only_unless_kept(self):
+        g = generate_ba(BAParams(n=100, m=2, seed=8))
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=2.0, dynamics="logistic:0.5",
+                         state_dim=2)
+        x0 = np.random.default_rng(9).random((g.n, 2))
+        kept = simulate(g, cfg, x0, keep_states=True)
+        lean = simulate(g, cfg, x0)
+        assert kept.states.shape == (201, g.n, 2)
+        assert lean.states.shape == (1, g.n, 2)
+        assert np.array_equal(lean.states[0], kept.states[-1])
+        assert np.array_equal(lean.sync_error, kept.sync_error)
+        final = lean.states[0]
+        assert np.abs(final - final.mean(axis=0)).max() == lean.sync_error[-1]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -214,8 +296,6 @@ class TestConfigValidation:
             {"dt": 0.5, "t_max": 0.2},
             {"c": 0.0},
             {"state_dim": 0},
-            {"intra_dims": 1, "inter_dims": None},
-            {"intra_dims": 1, "inter_dims": 1},  # state_dim stays 1
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -223,9 +303,33 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             cfg.validate()
 
-    def test_state_split_metadata_accepted(self):
-        cfg = SyncConfig(dt=0.01, t_max=1.0, state_dim=3, intra_dims=2, inter_dims=1)
-        cfg.validate()
+    @pytest.mark.parametrize("name", ["c", "dt", "t_max", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        cfg = SyncConfig(**{"dt": 0.01, "t_max": 1.0, name: value})
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"t_max": 1e15}, {"dt": 1e-300}, {"dt": 5e-324}]
+    )
+    def test_step_arrays_must_fit_in_memory(self, kwargs):
+        cfg = SyncConfig(**{"dt": 0.01, "t_max": 1.0, **kwargs})
+        with pytest.raises(InputError, match="bytes"):
+            cfg.validate()
+
+    def test_rk4_working_set_must_fit_in_memory(self):
+        # one state is a quarter of physical memory; a step holds 8 more
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        with pytest.raises(InputError, match="bytes"):
+            SyncConfig(dt=0.1, t_max=1.0).validate(n=memory // 32)
+
+    def test_kept_states_must_fit_in_memory(self):
+        # 1e6 steps: 16 MB of times and errors, 80 TB with every state kept
+        cfg = SyncConfig(dt=1e-4, t_max=100.0)
+        cfg.validate(n=10**7)
+        with pytest.raises(InputError, match="bytes"):
+            cfg.validate(n=10**7, keep_states=True)
 
     def test_inner_coupling_shape_checked(self):
         cfg = SyncConfig(dt=0.01, t_max=1.0, state_dim=2, inner_coupling=np.eye(3))
