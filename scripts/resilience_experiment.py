@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from netsync.generators import BAParams, generate_ba
-from netsync.report import ensemble_csv, trace_csv
+from netsync.report import rows_csv
 from netsync.resilience import TargetedAttack, run_error_ensemble, run_resilience
 
 
@@ -29,13 +29,13 @@ def main() -> None:
 
     attack = run_resilience(g, TargetedAttack(), args.record_every)
     attack_path = args.out_dir / "attack_trace.csv"
-    attack_path.write_text(trace_csv(attack))
+    attack_path.write_text(rows_csv(attack.rows))
     collapse = attack.fraction_when_lcc_below(g.n // 2)
     print(f"attack: largest component below n/2 at fraction {collapse}")
 
     ensemble = run_error_ensemble(g, list(range(args.seeds)), args.record_every)
     error_path = args.out_dir / "error_trace.csv"
-    error_path.write_text(ensemble_csv(ensemble))
+    error_path.write_text(rows_csv(ensemble.rows))
     print(f"error ensemble ({args.seeds} seeds) written to {error_path}")
     print(f"attack trace written to {attack_path}")
 

@@ -45,7 +45,8 @@ def main() -> None:
     cfg = SyncConfig(c=args.c, dt=args.dt, t_max=args.tmax, dynamics="zero")
     x0 = rng_from_seed(args.seed).standard_normal((g.n, 1))
     traj = simulate(g, cfg, x0)
-    args.out.write_text(trajectory_csv(traj))
+    with args.out.open("w") as fh:
+        trajectory_csv(traj, fh)
 
     e0 = traj.sync_error[0]
     lo_hits = np.nonzero(traj.sync_error < 1e-7 * e0)[0]

@@ -19,14 +19,12 @@ from .metrics import (
     NodeStats,
     average_path_length,
     betweenness_centrality,
-    closeness_centrality,
     degree_distribution,
     diameter,
     eigenvector_centrality,
     global_clustering,
     local_clustering,
     node_stats,
-    shortest_path_lengths,
     summarize,
 )
 from .powerlaw import PowerLawFit, distribution_comparison, fit_mle, sample_power_law

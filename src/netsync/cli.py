@@ -16,21 +16,17 @@ from .edgelist import ingest_edge_list, write_edge_list
 from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
-from .metrics import node_stats, summarize
+from .metrics import node_stats, source_sweep, summarize
 from .powerlaw import distribution_comparison, fit_mle
 from .report import (
     PipelineConfig,
     comparison_csv,
-    ensemble_csv,
-    node_stats_csv,
     report_to_json,
+    rows_csv,
     run_pipeline,
-    trace_csv,
+    to_json,
+    to_plain,
     trajectory_csv,
-    _fit_dict,
-    _node_stats_dicts,
-    _spectral_dict,
-    _summary_dict,
 )
 from .resilience import RandomError, TargetedAttack, run_error_ensemble, run_resilience
 from .synchronization import SyncConfig, simulate, spectral_stability
@@ -136,25 +132,27 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
-    stats = node_stats(result.graph)
+    g = result.graph
     if args.format == "csv":
-        _emit(node_stats_csv(stats), args.out)
+        columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
+        _emit(rows_csv(node_stats(g), columns), args.out)
         return 0
+    sweep = source_sweep(g, brandes=True)
     payload = {
-        "summary": _summary_dict(summarize(result.graph)),
-        "node_stats": _node_stats_dicts(stats),
+        "summary": summarize(g, sweep),
+        "node_stats": node_stats(g, sweep),
         "input": {
             "edge_list": args.edge_list,
             "duplicates_collapsed": result.duplicate_count,
         },
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(to_json(payload), args.out)
     return 0
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
-    payload = _fit_dict(fit_mle(result.graph.degrees()))
+    payload = to_plain(fit_mle(result.graph.degrees()))
     if args.compare_er:
         reference = generate_er(
             ERParams(n=result.graph.n, m=result.graph.m, seed=args.seed)
@@ -165,7 +163,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             Path(args.comparison_out).write_text(csv_text)
         else:
             payload["comparison_csv"] = csv_text
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(to_json(payload), args.out)
     return 0
 
 
@@ -175,26 +173,21 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
     if args.strategy == "attack":
         trace = run_resilience(result.graph, TargetedAttack(), args.record_every)
-        _emit(trace_csv(trace), args.out)
     elif args.seeds == 1:
         trace = run_resilience(
             result.graph, RandomError(seed=args.seed), args.record_every
         )
-        _emit(trace_csv(trace), args.out)
     else:
         seeds = [args.seed + i for i in range(args.seeds)]
-        ensemble = run_error_ensemble(result.graph, seeds, args.record_every)
-        _emit(ensemble_csv(ensemble), args.out)
+        trace = run_error_ensemble(result.graph, seeds, args.record_every)
+    _emit(rows_csv(trace.rows), args.out)
     return 0
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
     if args.spectral_only:
-        payload = _spectral_dict(
-            spectral_stability(result.graph, args.closeness_threshold)
-        )
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(to_json(spectral_stability(result.graph, args.closeness_threshold)), args.out)
         return 0
     cfg = SyncConfig(
         c=args.c,
@@ -207,7 +200,11 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     cfg.validate(result.graph.n, keep_states=args.full)
     x0 = rng_from_seed(args.seed).standard_normal((result.graph.n, args.state_dim))
     traj = simulate(result.graph, cfg, x0, keep_states=args.full)
-    _emit(trajectory_csv(traj, full=args.full), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            trajectory_csv(traj, fh, full=args.full)
+    else:
+        trajectory_csv(traj, sys.stdout, full=args.full)
     return 0
 
 

@@ -131,10 +131,6 @@ class ComponentPartition:
     def count(self) -> int:
         return len(self.sizes)
 
-    @property
-    def sizes_descending(self) -> list[int]:
-        return sorted(self.sizes, reverse=True)
-
     def members(self, comp: int) -> list[int]:
         return [i for i, c in enumerate(self.component_of) if c == comp]
 

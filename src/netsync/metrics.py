@@ -1,17 +1,17 @@
 """Topology metrics and node centralities.
 
-All functions are pure reads of an immutable graph. Single-source distances
-use a plain BFS. Path length, diameter, closeness and betweenness come from
-one sweep that runs the BFS from a block of sources at once by sparse matrix
-products, with Brandes' accumulation run backwards over the same levels and
-reduced in a fixed block order. Eigenvector centrality is power iteration on
-the adjacency matrix of the largest component.
+All functions are pure reads of an immutable graph. Path length, diameter,
+closeness and betweenness come from one sweep (``source_sweep``) that runs
+the BFS from a block of sources at once by sparse matrix products, with
+Brandes' accumulation run backwards over the same levels and reduced in a
+fixed block order; ``summarize`` and ``node_stats`` can share one sweep.
+Eigenvector centrality is power iteration on the adjacency matrix of the
+largest component.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -21,27 +21,8 @@ from scipy.sparse import csr_matrix
 from .errors import DegenerateInputError, InputError, NumericalError
 from .graph import ComponentPartition, Graph, connected_components, induced_subgraph
 
-INF = math.inf
-
 
 # -- distances ---------------------------------------------------------------
-
-
-def shortest_path_lengths(g: Graph, source: int) -> list[float]:
-    """BFS distances from ``source``; unreachable nodes get math.inf."""
-    g._check_node(source)
-    dist = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] == INF:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
 
 
 def _adjacency_csr(g: Graph) -> csr_matrix:
@@ -53,15 +34,22 @@ def _adjacency_csr(g: Graph) -> csr_matrix:
 _BLOCK = 64  # sources per sweep block; its working arrays are (n, _BLOCK)
 
 
-class _Sweep(NamedTuple):
+class Sweep(NamedTuple):
+    """Per source: distance sum, nodes reached besides itself, and
+    eccentricity; per node, twice its betweenness when Brandes' pass ran
+    (None otherwise)."""
+
     dist_sums: np.ndarray
     reached: np.ndarray
     eccentricity: np.ndarray
     betweenness: np.ndarray | None
 
 
-def _source_sweep(g: Graph, sources: Sequence[int], brandes: bool = False) -> _Sweep:
-    """Level-synchronous BFS from ``sources``, _BLOCK of them at a time.
+def source_sweep(
+    g: Graph, sources: Sequence[int] | None = None, brandes: bool = False
+) -> Sweep:
+    """Level-synchronous BFS from ``sources`` (default: every node), _BLOCK
+    of them at a time.
 
     Column j of a block's frontier holds the shortest-path counts sigma of
     the nodes at the current depth from source j; ``A @ frontier`` advances
@@ -70,8 +58,9 @@ def _source_sweep(g: Graph, sources: Sequence[int], brandes: bool = False) -> _S
     block runs Brandes' backward pass level by level from the deepest,
     delta += [level == k-1] * sigma * (A @ ([level == k] * (1 + delta) / sigma)),
     and its per-node dependencies are added to the total in block order.
+    Raises NumericalError at the first block whose path counts overflow.
     """
-    src = np.asarray(sources, dtype=np.int64)
+    src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
     sums, reached, ecc = np.zeros((3, len(src)), dtype=np.int64)
     between = np.zeros(g.n) if brandes else None
     a = _adjacency_csr(g)
@@ -82,20 +71,22 @@ def _source_sweep(g: Graph, sources: Sequence[int], brandes: bool = False) -> _S
         level[block, np.arange(len(block))] = 0
         sigma = (level == 0).astype(np.float64)
         frontier, depth = sigma, 0
-        while True:
-            paths = a @ frontier
-            new = (paths > 0) & (level < 0)
-            counts = np.count_nonzero(new, axis=0)
-            if not counts.any():
-                break
-            depth += 1
-            level += np.int32(depth + 1) * new
-            sums[part] += depth * counts
-            reached[part] += counts
-            ecc[part][counts > 0] = depth
-            frontier = paths * new if brandes else new.astype(np.float64)
-            if brandes:
-                sigma += frontier
+        # an overflow of sigma is reported once the block's levels are known
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                paths = a @ frontier
+                new = (paths > 0) & (level < 0)
+                counts = np.count_nonzero(new, axis=0)
+                if not counts.any():
+                    break
+                depth += 1
+                level += np.int32(depth + 1) * new
+                sums[part] += depth * counts
+                reached[part] += counts
+                ecc[part][counts > 0] = depth
+                frontier = paths * new if brandes else new.astype(np.float64)
+                if brandes:
+                    sigma += frontier
         if brandes:
             if not np.isfinite(sigma).all():
                 raise NumericalError("shortest-path counts overflow float64")
@@ -105,7 +96,7 @@ def _source_sweep(g: Graph, sources: Sequence[int], brandes: bool = False) -> _S
                 coeff = (1.0 + delta) / sigma * (level == k)
                 delta += sigma * (a @ coeff) * (level == k - 1)
             between += delta.sum(axis=1)
-    return _Sweep(sums, reached, ecc, between)
+    return Sweep(sums, reached, ecc, between)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ class PathLengthStats:
     reachable_pairs: int
 
 
-def _path_length_stats(n: int, sweep: _Sweep) -> PathLengthStats:
+def _path_length_stats(n: int, sweep: Sweep) -> PathLengthStats:
     # a sweep over every source sees each unordered pair from both ends
     if n < 2:
         raise InputError("average path length needs at least 2 nodes")
@@ -133,7 +124,7 @@ def _path_length_stats(n: int, sweep: _Sweep) -> PathLengthStats:
 def average_path_length(g: Graph) -> PathLengthStats:
     """Mean distance over unordered reachable pairs, with the fraction of
     pairs that are unreachable reported alongside."""
-    return _path_length_stats(g.n, _source_sweep(g, range(g.n)))
+    return _path_length_stats(g.n, source_sweep(g))
 
 
 def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | None:
@@ -142,7 +133,7 @@ def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | No
     largest = parts.largest()
     if len(largest) < 2:
         return None
-    return int(_source_sweep(g, largest).eccentricity.max())
+    return int(source_sweep(g, largest).eccentricity.max())
 
 
 def diameter(g: Graph) -> int:
@@ -199,23 +190,6 @@ def degree_distribution(g: Graph) -> dict[int, float]:
 # -- centralities --------------------------------------------------------------
 
 
-def closeness_centrality(g: Graph, i: int) -> float:
-    """Reciprocal of the sum of distances from ``i`` to every node it can
-    reach. On disconnected graphs this is a within-component score."""
-    g._check_node(i)
-    if g.degree(i) == 0:
-        raise DegenerateInputError(f"closeness undefined for isolated node {i}")
-    dist = shortest_path_lengths(g, i)
-    total = sum(d for d in dist if d != INF)
-    return 1.0 / total
-
-
-def closeness_vector(g: Graph) -> np.ndarray:
-    """Closeness for every node at once; isolated nodes get nan."""
-    sums = _source_sweep(g, range(g.n)).dist_sums
-    return np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
-
-
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Unnormalized betweenness: for each node v, the sum over unordered
     pairs (s, t) of the fraction of s-t shortest paths through v.
@@ -223,7 +197,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     Per-source dependencies are reduced in a fixed block order.
     """
     # each unordered pair was seen from both endpoints
-    return _source_sweep(g, range(g.n), brandes=True).betweenness / 2.0
+    return source_sweep(g, brandes=True).betweenness / 2.0
 
 
 def eigenvector_centrality(
@@ -298,11 +272,13 @@ class GraphSummary:
     component_count: int
 
 
-def summarize(g: Graph) -> GraphSummary:
+def summarize(g: Graph, sweep: Sweep | None = None) -> GraphSummary:
     """Whole-graph statistics; degenerate metrics are reported as None.
-    One sweep of every source gives the path lengths and the diameter."""
+    A sweep of every source (``sweep``, or one run here) gives the path
+    lengths and the diameter."""
     parts = connected_components(g)
-    sweep = _source_sweep(g, range(g.n))
+    if sweep is None:
+        sweep = source_sweep(g)
     apl = frac = None
     clust = global_clustering(g) if g.n >= 1 else None
     try:
@@ -325,10 +301,12 @@ def summarize(g: Graph) -> GraphSummary:
     )
 
 
-def node_stats(g: Graph) -> list[NodeStats]:
+def node_stats(g: Graph, sweep: Sweep | None = None) -> list[NodeStats]:
     """Per-node table: degree, clustering, closeness, betweenness,
-    eigenvector centrality. Closeness and betweenness come from one sweep."""
-    sweep = _source_sweep(g, range(g.n), brandes=True)
+    eigenvector centrality. Closeness and betweenness come from one sweep
+    of every source with Brandes' pass (``sweep``, or one run here)."""
+    if sweep is None:
+        sweep = source_sweep(g, brandes=True)
     sums = sweep.dist_sums
     closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
     betweenness = sweep.betweenness / 2.0

@@ -1,11 +1,16 @@
 """Pipeline orchestration and report emission.
 
 A pipeline run ingests or generates a graph, executes the requested stages
-in a fixed order (summary -> centralities -> fit -> spectral -> resilience),
-and embeds each stage's output in a single report. A failing stage is
-recorded under ``errors`` without aborting the stages that do not depend
-on it. Reports serialize to JSON with sorted keys so that a seeded run is
-byte-identical across repetitions; timestamps are omitted when the
+(summary, centralities, fit, spectral, resilience) in the order the config
+lists them, and embeds each stage's output in a single report; no stage
+reads another's output, so the report does not depend on that order. The
+summary and centralities stages share one BFS sweep of every source. A
+failing stage is recorded under ``errors`` without aborting the others.
+
+Result dataclasses serialize themselves: ``to_plain`` turns one into JSON
+values field by field, and ``rows_csv`` writes a list of them one field
+per column. Reports serialize to JSON with sorted keys so that a seeded
+run is byte-identical across repetitions; timestamps are omitted when the
 deterministic flag is set.
 """
 
@@ -15,14 +20,14 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Sequence, TextIO
 
 from .edgelist import ingest_edge_list
-from .errors import InputError, ToolkitError
+from .errors import InputError, NumericalError, ToolkitError
 from .generators import BAParams, ERParams, generate_ba, generate_er
 from .graph import Graph
-from .metrics import GraphSummary, NodeStats, node_stats, summarize
+from .metrics import GraphSummary, NodeStats, node_stats, source_sweep, summarize
 from .powerlaw import PowerLawFit, fit_mle
 from .resilience import (
     EnsembleTrace,
@@ -177,12 +182,24 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         provenance["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = AnalysisReport(provenance=provenance)
 
+    # one sweep serves summary and centralities, with Brandes' pass only when
+    # centralities are asked for; its overflow costs only that stage, and the
+    # summary then reads a forward-only sweep
+    sweep = None
+    if "centralities" in cfg.stages:
+        try:
+            sweep = source_sweep(graph, brandes=True)
+        except NumericalError as exc:
+            report.errors["centralities"] = str(exc)
+    if sweep is None and "summary" in cfg.stages:
+        sweep = source_sweep(graph)
+
     for stage in cfg.stages:
         try:
             if stage == "summary":
-                report.summary = summarize(graph)
-            elif stage == "centralities":
-                report.node_stats = node_stats(graph)
+                report.summary = summarize(graph, sweep)
+            elif stage == "centralities" and "centralities" not in report.errors:
+                report.node_stats = node_stats(graph, sweep)
             elif stage == "fit":
                 report.fit = fit_mle(graph.degrees())
             elif stage == "spectral":
@@ -211,200 +228,70 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
 # -- serialization --------------------------------------------------------------
 
 
-def _summary_dict(s: GraphSummary) -> dict[str, Any]:
-    return {
-        "n": s.n,
-        "m": s.m,
-        "average_path_length": s.average_path_length,
-        "diameter": s.diameter,
-        "global_clustering": s.global_clustering,
-        "degree_distribution": {str(k): p for k, p in s.degree_distribution.items()},
-        "unreachable_pair_fraction": s.unreachable_pair_fraction,
-        "connected": s.connected,
-        "component_count": s.component_count,
-    }
-
-
-def _node_stats_dicts(rows: list[NodeStats]) -> list[dict[str, Any]]:
-    return [
-        {
-            "node": r.node,
-            "label": r.label,
-            "degree": r.degree,
-            "clustering": r.clustering,
-            "closeness": r.closeness,
-            "betweenness": r.betweenness,
-            "eigenvector": r.eigenvector,
-        }
-        for r in rows
-    ]
-
-
-def _fit_dict(fit: PowerLawFit) -> dict[str, Any]:
-    return {
-        "gamma": fit.gamma,
-        "k_min": fit.k_min,
-        "ks_stat": fit.ks_stat,
-        "n_tail": fit.n_tail,
-        "dropped_zeros": fit.dropped_zeros,
-    }
-
-
-def _spectral_dict(rep: SpectralReport) -> dict[str, Any]:
-    return {
-        "lambda1": rep.lambda1,
-        "lambda2": rep.lambda2,
-        "gap": rep.gap,
-        "stable": rep.stable,
-        "zero_multiplicity": rep.zero_multiplicity,
-        "closeness_threshold": rep.closeness_threshold,
-    }
-
-
-def _resilience_dict(tr: ResilienceTrace | EnsembleTrace) -> dict[str, Any]:
-    if isinstance(tr, ResilienceTrace):
-        return {
-            "kind": "single",
-            "strategy": tr.strategy,
-            "seed": tr.seed,
-            "initial_n": tr.initial_n,
-            "rows": [
-                {
-                    "fraction_removed": row.fraction_removed,
-                    "diameter": row.diameter,
-                    "lcc_size": row.lcc_size,
-                    "components": row.components,
-                }
-                for row in tr.rows
-            ],
-        }
-    return {
-        "kind": "ensemble",
-        "strategy": "error",
-        "seeds": tr.seeds,
-        "initial_n": tr.initial_n,
-        "rows": [
-            {
-                "fraction_removed": tr.fractions[i],
-                "diameter_median": tr.diameter_median[i],
-                "diameter_min": tr.diameter_min[i],
-                "diameter_max": tr.diameter_max[i],
-                "lcc_median": tr.lcc_median[i],
-                "lcc_min": tr.lcc_min[i],
-                "lcc_max": tr.lcc_max[i],
-                "components_median": tr.components_median[i],
-                "components_min": tr.components_min[i],
-                "components_max": tr.components_max[i],
-            }
-            for i in range(len(tr.fractions))
-        ],
-    }
+def to_plain(obj: Any) -> Any:
+    """JSON values of a result: a dataclass becomes a dict of its fields,
+    lists and mappings are walked, mapping keys become strings."""
+    if is_dataclass(obj):
+        return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [to_plain(v) for v in obj]
+    return obj
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    out: dict[str, Any] = {"provenance": report.provenance, "errors": report.errors}
-    if report.summary is not None:
-        out["summary"] = _summary_dict(report.summary)
-    if report.node_stats is not None:
-        out["node_stats"] = _node_stats_dicts(report.node_stats)
-    if report.fit is not None:
-        out["power_law_fit"] = _fit_dict(report.fit)
-    if report.spectral is not None:
-        out["spectral"] = _spectral_dict(report.spectral)
-    if report.resilience is not None:
-        out["resilience"] = _resilience_dict(report.resilience)
+    out = {k: v for k, v in to_plain(report).items() if v is not None}
+    if "fit" in out:
+        out["power_law_fit"] = out.pop("fit")
+    if isinstance(report.resilience, ResilienceTrace):
+        out["resilience"]["kind"] = "single"
+    elif isinstance(report.resilience, EnsembleTrace):
+        out["resilience"].update(kind="ensemble", strategy="error")
     return out
 
 
+def to_json(obj: Any) -> str:
+    """``to_plain(obj)`` as JSON with sorted keys, the form of every report."""
+    return json.dumps(to_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return to_json(report_to_dict(report))
 
 
 # -- CSV emitters ----------------------------------------------------------------
 
 
-def node_stats_csv(rows: list[NodeStats]) -> str:
+def rows_csv(rows: Sequence[Any], columns: Sequence[str] | None = None) -> str:
+    """One line per dataclass row, one column per name in ``columns``
+    (default: the fields of the first row). csv writes a float with repr
+    and None as an empty cell."""
+    if columns is None:
+        columns = [f.name for f in fields(rows[0])]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                r.label,
-                r.degree,
-                repr(r.clustering),
-                "" if r.closeness is None else repr(r.closeness),
-                repr(r.betweenness),
-                repr(r.eigenvector),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([getattr(row, c) for c in columns] for row in rows)
     return buf.getvalue()
 
 
-def trace_csv(tr: ResilienceTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["fraction_removed", "diameter", "lcc_size", "components"])
-    for row in tr.rows:
-        writer.writerow(
-            [repr(row.fraction_removed), row.diameter, row.lcc_size, row.components]
-        )
-    return buf.getvalue()
-
-
-def ensemble_csv(tr: EnsembleTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "fraction_removed",
-            "diameter_median",
-            "diameter_min",
-            "diameter_max",
-            "lcc_median",
-            "lcc_min",
-            "lcc_max",
-            "components_median",
-            "components_min",
-            "components_max",
-        ]
-    )
-    for i in range(len(tr.fractions)):
-        writer.writerow(
-            [
-                repr(tr.fractions[i]),
-                repr(tr.diameter_median[i]),
-                tr.diameter_min[i],
-                tr.diameter_max[i],
-                repr(tr.lcc_median[i]),
-                tr.lcc_min[i],
-                tr.lcc_max[i],
-                repr(tr.components_median[i]),
-                tr.components_min[i],
-                tr.components_max[i],
-            ]
-        )
-    return buf.getvalue()
-
-
-def trajectory_csv(traj: SyncTrajectory, full: bool = False) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def trajectory_csv(traj: SyncTrajectory, out: TextIO, full: bool = False) -> None:
+    """Write t and sync_error per time step to ``out``, with every node's
+    state after them when ``full``; rows are written as they are made."""
     header = ["t", "sync_error"]
     _, n_nodes, dim = traj.states.shape
     if full:
         if len(traj.states) != len(traj.times):
             raise InputError("per-node states were not kept (simulate keep_states=True)")
         header += [f"node{i}_s{d}" for i in range(n_nodes) for d in range(dim)]
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for idx, t in enumerate(traj.times):
-        row = [repr(float(t)), repr(float(traj.sync_error[idx]))]
+    for idx, (t, err) in enumerate(zip(traj.times.tolist(), traj.sync_error.tolist())):
+        row = [t, err]
         if full:
-            row += [repr(float(v)) for v in traj.states[idx].reshape(-1)]
+            row += traj.states[idx].reshape(-1).tolist()
         writer.writerow(row)
-    return buf.getvalue()
 
 
 def comparison_csv(observed, reference) -> str:
@@ -415,12 +302,5 @@ def comparison_csv(observed, reference) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "p_observed", "p_reference"])
-    for k in sorted(set(obs) | set(ref)):
-        writer.writerow(
-            [
-                k,
-                repr(obs[k]) if k in obs else "",
-                repr(ref[k]) if k in ref else "",
-            ]
-        )
+    writer.writerows([k, obs.get(k), ref.get(k)] for k in sorted(set(obs) | set(ref)))
     return buf.getvalue()

@@ -120,22 +120,29 @@ def run_resilience(
     )
 
 
+@dataclass(frozen=True)
+class EnsembleRow:
+    """Median, min and max over the runs of one recorded row."""
+
+    fraction_removed: float
+    diameter_median: float
+    diameter_min: int
+    diameter_max: int
+    lcc_median: float
+    lcc_min: int
+    lcc_max: int
+    components_median: float
+    components_min: int
+    components_max: int
+
+
 @dataclass
 class EnsembleTrace:
     """Per-row median/min/max over random-error runs, merged in seed order."""
 
     seeds: list[int]
     initial_n: int
-    fractions: list[float]
-    diameter_median: list[float]
-    diameter_min: list[int]
-    diameter_max: list[int]
-    lcc_median: list[float]
-    lcc_min: list[int]
-    lcc_max: list[int]
-    components_median: list[float]
-    components_min: list[int]
-    components_max: list[int]
+    rows: list[EnsembleRow]
 
 
 def run_error_ensemble(
@@ -146,21 +153,15 @@ def run_error_ensemble(
     if not seeds:
         raise InputError("ensemble needs at least one seed")
     traces = [run_resilience(g, RandomError(seed=s), record_every) for s in sorted(seeds)]
-    fractions = [row.fraction_removed for row in traces[0].rows]
-    diam = np.array([[row.diameter for row in t.rows] for t in traces])
-    lcc = np.array([[row.lcc_size for row in t.rows] for t in traces])
-    comps = np.array([[row.components for row in t.rows] for t in traces])
-    return EnsembleTrace(
-        seeds=sorted(seeds),
-        initial_n=g.n,
-        fractions=fractions,
-        diameter_median=[float(v) for v in np.median(diam, axis=0)],
-        diameter_min=[int(v) for v in diam.min(axis=0)],
-        diameter_max=[int(v) for v in diam.max(axis=0)],
-        lcc_median=[float(v) for v in np.median(lcc, axis=0)],
-        lcc_min=[int(v) for v in lcc.min(axis=0)],
-        lcc_max=[int(v) for v in lcc.max(axis=0)],
-        components_median=[float(v) for v in np.median(comps, axis=0)],
-        components_min=[int(v) for v in comps.min(axis=0)],
-        components_max=[int(v) for v in comps.max(axis=0)],
+    # (run, row, quantity) for the quantities diameter, lcc_size, components
+    runs = np.array(
+        [[(row.diameter, row.lcc_size, row.components) for row in t.rows] for t in traces]
     )
+    median, low, high = np.median(runs, axis=0), runs.min(axis=0), runs.max(axis=0)
+    rows = []
+    for i, row in enumerate(traces[0].rows):
+        stats = []
+        for q in range(3):
+            stats += [float(median[i, q]), int(low[i, q]), int(high[i, q])]
+        rows.append(EnsembleRow(row.fraction_removed, *stats))
+    return EnsembleTrace(seeds=sorted(seeds), initial_n=g.n, rows=rows)

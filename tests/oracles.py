@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's algorithms: betweenness is counted
 by exhaustively enumerating every simple path between every pair, and
-distances come from the same enumeration. Only usable on tiny graphs.
+distances come from the same enumeration. Only usable on tiny graphs. A
+per-node queue BFS, and the closeness read from it, serve graphs too large
+to enumerate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
+from netsync.errors import DegenerateInputError
 from netsync.graph import Graph
 
 
@@ -57,3 +61,27 @@ def brute_force_distance(g: Graph, s: int, t: int) -> float:
     if not paths:
         return math.inf
     return min(len(p) for p in paths) - 1
+
+
+def shortest_path_lengths(g: Graph, source: int) -> list[float]:
+    """BFS distances from ``source``; unreachable nodes get math.inf."""
+    g._check_node(source)
+    dist = [math.inf] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if dist[v] == math.inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def closeness_centrality(g: Graph, i: int) -> float:
+    """Reciprocal of the sum of distances from ``i`` to every node it can
+    reach. On disconnected graphs this is a within-component score."""
+    g._check_node(i)
+    if g.degree(i) == 0:
+        raise DegenerateInputError(f"closeness undefined for isolated node {i}")
+    return 1.0 / sum(d for d in shortest_path_lengths(g, i) if d != math.inf)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -79,7 +81,10 @@ def test_resilience_error_ensemble_csv(ba_file, tmp_path):
                  "error", "--seeds", "3", "--record-every", "0.2",
                  "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    assert "diameter_median" in header and "lcc_min" in header
+    assert header == (
+        "fraction_removed,diameter_median,diameter_min,diameter_max,"
+        "lcc_median,lcc_min,lcc_max,components_median,components_min,components_max"
+    )
 
 
 def test_sync_spectral_only(ba_file, tmp_path):
@@ -143,6 +148,25 @@ def test_pipeline_subcommand(tmp_path):
     data = json.loads(out.read_text())
     assert data["summary"]["n"] == 30
     assert "created_at" not in data["provenance"]
+
+
+def test_path_count_overflow_is_one_line_numerical_error(tmp_path, child_env):
+    # 650 layers of 3 nodes, consecutive layers joined completely, and one
+    # end node at each side: 3**650 shortest paths overflow float64
+    layers = [[f"L{i}_{j}" for j in range(3)] for i in range(650)]
+    lines = [f"s {v}" for v in layers[0]]
+    for left, right in zip(layers, layers[1:]):
+        lines += [f"{u} {v}" for u in left for v in right]
+    lines += [f"{u} t" for u in layers[-1]]
+    edges = tmp_path / "layered.edges"
+    edges.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "netsync.cli", "analyze", "--edge-list", str(edges)],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "numerical error: shortest-path counts overflow float64\n"
 
 
 class TestExitCodes:

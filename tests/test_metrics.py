@@ -12,19 +12,22 @@ from netsync.generators import BAParams, generate_ba
 from netsync.metrics import (
     average_path_length,
     betweenness_centrality,
-    closeness_centrality,
-    closeness_vector,
     degree_distribution,
     diameter,
     eigenvector_centrality,
     global_clustering,
     local_clustering,
     node_stats,
-    shortest_path_lengths,
+    source_sweep,
     summarize,
 )
 
-from oracles import brute_force_betweenness, brute_force_distance
+from oracles import (
+    brute_force_betweenness,
+    brute_force_distance,
+    closeness_centrality,
+    shortest_path_lengths,
+)
 
 INF = math.inf
 
@@ -188,10 +191,10 @@ class TestCloseness:
         rng = np.random.default_rng(12)
         for _ in range(30):
             g = random_graph(rng, max_n=8)
-            for s, got in enumerate(closeness_vector(g)):
+            for s, row in enumerate(node_stats(g)):
                 dist = [brute_force_distance(g, s, t) for t in range(g.n)]
                 total = sum(d for d in dist if d != INF)
-                assert got == 1.0 / total if total else math.isnan(got)
+                assert row.closeness == (1.0 / total if total else None)
 
 
 class TestBetweenness:
@@ -315,6 +318,16 @@ class TestSummary:
         assert abs(sum(s.degree_distribution.values()) - 1.0) < 1e-12
 
 
+class TestSharedSweep:
+    def test_summary_and_table_read_one_brandes_sweep(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_graph(rng, max_n=9)
+            sweep = source_sweep(g, brandes=True)
+            assert summarize(g, sweep) == summarize(g)
+            assert node_stats(g, sweep) == node_stats(g)
+
+
 class TestNodeStats:
     def test_star_rows(self):
         rows = node_stats(star(4))
@@ -337,7 +350,6 @@ class TestEdgeCases:
         g = Graph(0)
         s = summarize(g)
         assert (s.n, s.average_path_length, s.diameter, s.component_count) == (0, None, None, 0)
-        assert closeness_vector(g).shape == (0,)
         assert betweenness_centrality(g).shape == (0,)
         assert node_stats(g) == []
         with pytest.raises(InputError):
@@ -354,7 +366,6 @@ class TestEdgeCases:
 
     def test_edgeless(self):
         g = Graph(5)
-        assert np.isnan(closeness_vector(g)).all()
         assert list(betweenness_centrality(g)) == [0.0] * 5
         assert all(r.closeness is None for r in node_stats(g))
         s = summarize(g)
@@ -363,10 +374,9 @@ class TestEdgeCases:
 
     def test_isolated_node_among_components(self):
         g = Graph(6, [(0, 1), (1, 2), (4, 5)])
-        c = closeness_vector(g)
-        assert np.isnan(c).tolist() == [False, False, False, True, False, False]
+        c = [row.closeness for row in node_stats(g)]
+        assert [v is None for v in c] == [False, False, False, True, False, False]
         assert c[1] == 0.5 and c[4] == 1.0
-        assert node_stats(g)[3].closeness is None
         stats = average_path_length(g)
         # reachable pairs: three in the path, one in the edge, of 15
         assert stats.reachable_pairs == 4
@@ -409,8 +419,8 @@ def test_distances_match_networkx(name):
     h = to_networkx(g)
     lengths = dict(nx.all_pairs_shortest_path_length(h))
     sums = [sum(lengths[v].values()) for v in range(g.n)]
-    expected = np.array([1.0 / s if s else np.nan for s in sums])
-    assert np.array_equal(closeness_vector(g), expected, equal_nan=True)
+    expected = [1.0 / s if s else None for s in sums]
+    assert [row.closeness for row in node_stats(g)] == expected
 
     reachable = sum(len(lengths[v]) - 1 for v in range(g.n)) // 2
     pairs = g.n * (g.n - 1) // 2

@@ -1,11 +1,17 @@
+import io
 import itertools
 import json
 
 import pytest
 
+import netsync.cli
+import netsync.metrics
+import netsync.report
 from netsync.edgelist import write_edge_list
-from netsync.errors import InputError
+from netsync.errors import InputError, NumericalError
+from netsync.generators import ERParams, generate_er
 from netsync.graph import Graph
+from netsync.metrics import summarize
 from netsync.report import (
     ALL_STAGES,
     PipelineConfig,
@@ -145,15 +151,107 @@ class TestPipeline:
         assert data["resilience"]["kind"] == "ensemble"
         assert data["resilience"]["seeds"] == [0, 1, 2]
 
+    def test_overflow_costs_only_centralities(self, monkeypatch):
+        real = netsync.report.source_sweep
+
+        def overflowing(g, sources=None, brandes=False):
+            if brandes:
+                raise NumericalError("shortest-path counts overflow float64")
+            return real(g, sources)
+
+        monkeypatch.setattr(netsync.report, "source_sweep", overflowing)
+        report = run_pipeline(er_config(stages=["summary", "centralities"]))
+        assert report.errors == {"centralities": "shortest-path counts overflow float64"}
+        assert report.node_stats is None
+        assert report.summary == summarize(generate_er(ERParams(n=49, m=351, seed=3)))
+
+
+SUMMARY_KEYS = {
+    "n", "m", "average_path_length", "diameter", "global_clustering",
+    "degree_distribution", "unreachable_pair_fraction", "connected", "component_count",
+}
+NODE_KEYS = {"node", "label", "degree", "clustering", "closeness", "betweenness", "eigenvector"}
+FIT_KEYS = {"gamma", "k_min", "ks_stat", "n_tail", "dropped_zeros"}
+SPECTRAL_KEYS = {
+    "lambda1", "lambda2", "gap", "stable", "zero_multiplicity", "closeness_threshold",
+}
+TRACE_ROW_KEYS = {"fraction_removed", "diameter", "lcc_size", "components"}
+ENSEMBLE_ROW_KEYS = {"fraction_removed"} | {
+    f"{q}_{s}" for q in ("diameter", "lcc", "components") for s in ("median", "min", "max")
+}
+
+
+class TestReportSchema:
+    """The report's keys are the result dataclasses' fields: adding a field
+    changes the report, so the key sets are fixed here."""
+
+    def test_single_trace_report(self):
+        data = report_to_dict(run_pipeline(er_config()))
+        assert set(data) == {
+            "provenance", "errors", "summary", "node_stats", "power_law_fit",
+            "spectral", "resilience",
+        }
+        assert set(data["summary"]) == SUMMARY_KEYS
+        assert list(data["summary"]["degree_distribution"]) == [
+            str(k) for k in sorted(int(k) for k in data["summary"]["degree_distribution"])
+        ]
+        for row in data["node_stats"]:
+            assert set(row) == NODE_KEYS
+            assert {type(row[k]) for k in ("clustering", "betweenness", "eigenvector")} == {float}
+        assert set(data["power_law_fit"]) == FIT_KEYS
+        assert set(data["spectral"]) == SPECTRAL_KEYS
+        res = data["resilience"]
+        assert set(res) == {"kind", "strategy", "seed", "initial_n", "rows"}
+        assert (res["kind"], res["strategy"], res["seed"]) == ("single", "attack", None)
+        assert all(set(row) == TRACE_ROW_KEYS for row in res["rows"])
+
+    def test_ensemble_report(self):
+        cfg = er_config(
+            stages=["resilience"],
+            resilience={"strategy": "error", "seeds": 2, "record_every": 0.25},
+        )
+        res = report_to_dict(run_pipeline(cfg))["resilience"]
+        assert set(res) == {"kind", "strategy", "seeds", "initial_n", "rows"}
+        assert (res["kind"], res["strategy"]) == ("ensemble", "error")
+        assert all(set(row) == ENSEMBLE_ROW_KEYS for row in res["rows"])
+        for row in res["rows"]:
+            assert all(type(v) is (float if k.endswith(("_median", "removed")) else int)
+                       for k, v in row.items())
+
+
+def test_one_sweep_of_every_source(monkeypatch, tmp_path):
+    # a sweep over every source is called without a source list; a
+    # resilience row sweeps its own largest component, which is not counted
+    real = netsync.metrics.source_sweep
+    full = []
+
+    def counting(g, sources=None, brandes=False):
+        if sources is None:
+            full.append(brandes)
+        return real(g, sources, brandes)
+
+    for module in (netsync.metrics, netsync.report, netsync.cli):
+        monkeypatch.setattr(module, "source_sweep", counting)
+    run_pipeline(er_config())
+    assert full == [True]
+
+    full.clear()
+    edges = tmp_path / "er.edges"
+    write_edge_list(generate_er(ERParams(n=49, m=351, seed=3)), edges)
+    out = tmp_path / "analyze.json"
+    assert netsync.cli.main(["analyze", "--edge-list", str(edges), "--out", str(out)]) == 0
+    assert full == [True]
+
 
 class TestTrajectoryCsv:
     def test_full_needs_kept_states(self):
         g = Graph(3, [(0, 1), (1, 2)])
         cfg = SyncConfig(dt=0.1, t_max=1.0)
         x0 = [[1.0], [0.0], [-1.0]]
-        rows = trajectory_csv(simulate(g, cfg, x0, keep_states=True), full=True)
-        lines = rows.splitlines()
+        out = io.StringIO()
+        trajectory_csv(simulate(g, cfg, x0, keep_states=True), out, full=True)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "t,sync_error,node0_s0,node1_s0,node2_s0"
         assert len(lines) == 12
         with pytest.raises(InputError, match="keep_states"):
-            trajectory_csv(simulate(g, cfg, x0), full=True)
+            trajectory_csv(simulate(g, cfg, x0), io.StringIO(), full=True)

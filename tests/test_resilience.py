@@ -106,17 +106,18 @@ def test_ensemble_merge_deterministic():
     a = run_error_ensemble(g, [3, 1, 2], record_every=0.2)
     b = run_error_ensemble(g, [1, 2, 3], record_every=0.2)
     assert a.seeds == [1, 2, 3]
-    assert a.diameter_median == b.diameter_median
-    assert a.lcc_min == b.lcc_min
-    assert len(a.fractions) == len(a.diameter_median)
+    assert a.rows == b.rows
+    single = run_resilience(g, RandomError(seed=1), record_every=0.2)
+    assert [r.fraction_removed for r in a.rows] == [r.fraction_removed for r in single.rows]
 
 
 def test_ensemble_envelope_orders():
     g = star(24)
     ens = run_error_ensemble(g, list(range(5)), record_every=0.2)
-    for i in range(len(ens.fractions)):
-        assert ens.lcc_min[i] <= ens.lcc_median[i] <= ens.lcc_max[i]
-        assert ens.diameter_min[i] <= ens.diameter_median[i] <= ens.diameter_max[i]
+    for row in ens.rows:
+        assert row.lcc_min <= row.lcc_median <= row.lcc_max
+        assert row.diameter_min <= row.diameter_median <= row.diameter_max
+        assert row.components_min <= row.components_median <= row.components_max
 
 
 def test_ensemble_needs_seeds():
