@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Run a fixed set of netsync commands and print the sha256 of every output.
+
+The set covers every subcommand that writes a report: on a BA graph of
+``--n`` nodes (m=3, seed 7), ER(49, 351, seed 3) and BA(49, m=8, seed 5),
+``analyze`` (JSON and CSV), ``resilience`` (attack, error with seed 3, a
+5-seed error ensemble), ``fit --compare-er`` (inline and with
+``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
+--tmax 2`` and ``sync --tmax 5``; and ``pipeline --deterministic`` with every
+stage on both 49-node graphs, under attack and under a 4-seed error
+ensemble. The three generated edge lists are hashed too.
+
+Commands run through ``netsync.cli.main`` inside OUTDIR with relative
+paths, so no output records where it was written. Two trees give equal
+outputs when two runs print the same lines:
+
+    PYTHONPATH=src python scripts/output_digests.py /tmp/a > a.txt
+    PYTHONPATH=../other/src python scripts/output_digests.py /tmp/b > b.txt
+    diff a.txt b.txt
+"""
+
+import argparse
+import hashlib
+import json
+import os
+from pathlib import Path
+
+from netsync.cli import main as netsync
+
+GRAPHS = {
+    "ba_large": ["ba", "--m", "3", "--seed", "7"],
+    "er49": ["er", "--n", "49", "--edges", "351", "--seed", "3"],
+    "ba49": ["ba", "--n", "49", "--m", "8", "--seed", "5"],
+}
+
+
+def commands(n: int) -> list[list[str]]:
+    argvs = [["generate", *spec, "--out", f"{name}.edges"] for name, spec in GRAPHS.items()]
+    argvs[0][2:2] = ["--n", str(n)]
+    for name in GRAPHS:
+        e = ["--edge-list", f"{name}.edges"]
+        argvs += [
+            ["analyze", *e, "--out", f"{name}.analyze.json"],
+            ["analyze", *e, "--format", "csv", "--out", f"{name}.analyze.csv"],
+            ["resilience", *e, "--strategy", "attack", "--out", f"{name}.attack.csv"],
+            ["resilience", *e, "--strategy", "error", "--seed", "3",
+             "--out", f"{name}.error.csv"],
+            ["resilience", *e, "--strategy", "error", "--seeds", "5",
+             "--out", f"{name}.ensemble.csv"],
+            ["fit", *e, "--compare-er", "--out", f"{name}.fit.json"],
+            ["fit", *e, "--compare-er", "--comparison-out", f"{name}.fit_cmp.csv",
+             "--out", f"{name}.fit_cmp.json"],
+            ["sync", *e, "--spectral-only", "--out", f"{name}.spectral.json"],
+        ]
+    argvs += [
+        ["sync", "--edge-list", "er49.edges", "--full", "--tmax", "2",
+         "--out", "er49.sync_full.csv"],
+        ["sync", "--edge-list", "er49.edges", "--tmax", "5", "--out", "er49.sync.csv"],
+    ]
+    return argvs
+
+
+def pipeline_configs() -> dict[str, dict]:
+    resilience = {"attack": {"strategy": "attack"},
+                  "ensemble": {"strategy": "error", "seeds": 4, "seed": 1}}
+    return {
+        f"{name}.pipeline_{kind}": {
+            "input": {"edge_list": f"{name}.edges"},
+            "stages": "all",
+            "resilience": res,
+        }
+        for name in ("er49", "ba49")
+        for kind, res in resilience.items()
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("outdir", type=Path, help="directory for the outputs (created)")
+    parser.add_argument("--n", type=int, default=1000, help="nodes of the large BA graph")
+    args = parser.parse_args()
+
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(args.outdir)
+    argvs = commands(args.n)
+    for stem, cfg in pipeline_configs().items():
+        Path(f"{stem}.config.json").write_text(json.dumps(cfg))
+        argvs.append(["pipeline", "--config", f"{stem}.config.json", "--deterministic",
+                      "--out", f"{stem}.json"])
+    for argv in argvs:
+        if netsync(argv) != 0:
+            raise SystemExit(f"netsync {' '.join(argv)} failed")
+    for path in sorted(Path(".").iterdir()):
+        if not path.name.endswith(".config.json"):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+
+
+if __name__ == "__main__":
+    main()

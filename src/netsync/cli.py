@@ -39,17 +39,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="omit timestamps so repeated runs are byte-identical",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netsync",
@@ -65,15 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ba.add_argument("--n", type=int, required=True)
     p_ba.add_argument("--m", type=int, required=True, help="edges per new node")
     p_ba.add_argument("--m0", type=int, default=None, help="seed core size (default m+1)")
-    _add_common(p_ba)
     p_er = gen_sub.add_parser("er", help="uniform random graph with exact edge count")
     p_er.add_argument("--n", type=int, required=True)
     p_er.add_argument("--edges", type=int, required=True)
-    _add_common(p_er)
 
     p_an = sub.add_parser("analyze", help="summary + per-node centralities")
     p_an.add_argument("--edge-list", required=True)
-    _add_common(p_an)
+    p_an.add_argument("--format", choices=["json", "csv"], default="json")
 
     p_fit = sub.add_parser("fit", help="power-law fit of the degree sequence")
     p_fit.add_argument("--edge-list", required=True)
@@ -83,14 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also emit degree-distribution points against a size-matched random graph",
     )
     p_fit.add_argument("--comparison-out", help="CSV path for the comparison points")
-    _add_common(p_fit)
 
     p_res = sub.add_parser("resilience", help="node-removal sweep")
     p_res.add_argument("--edge-list", required=True)
     p_res.add_argument("--strategy", choices=["error", "attack"], required=True)
     p_res.add_argument("--seeds", type=int, default=1, help="ensemble size for error runs")
     p_res.add_argument("--record-every", type=float, default=0.02)
-    _add_common(p_res)
 
     p_sync = sub.add_parser("sync", help="spectral stability / coupled simulation")
     p_sync.add_argument("--edge-list", required=True)
@@ -103,16 +88,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sync.add_argument("--tol", type=float, default=1e-6)
     p_sync.add_argument("--state-dim", type=int, default=1)
     p_sync.add_argument("--full", action="store_true", help="include per-node states")
-    _add_common(p_sync)
 
     p_val = sub.add_parser("validate", help="consistency checks of the reference fixture")
     p_val.add_argument("--fixture", help="CSV path (default: packaged EEN statistics)")
-    _add_common(p_val)
 
     p_pipe = sub.add_parser("pipeline", help="run configured stages, emit one report")
     p_pipe.add_argument("--config", required=True, help="JSON config path")
-    _add_common(p_pipe)
+    p_pipe.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="omit timestamps so repeated runs are byte-identical",
+    )
 
+    # each subcommand takes only the options it reads
+    for p in (p_ba, p_er, p_fit, p_res, p_sync):
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
+    for p in (p_ba, p_er, p_an, p_fit, p_res, p_sync, p_val, p_pipe):
+        p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 

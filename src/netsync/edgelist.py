@@ -78,13 +78,17 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
     if not edges and not id_to_label:
         warnings.append(f"{source}: no edges found, graph is empty")
 
-    graph = Graph(len(id_to_label), sorted(edges), labels=id_to_label)
+    graph = Graph(len(id_to_label), edges, labels=id_to_label)
     return IngestResult(graph, id_to_label, label_to_id, duplicates, warnings)
 
 
 def ingest_edge_list(path: str | Path) -> IngestResult:
     path = Path(path)
-    return parse_edge_list(path.read_text(), source=str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text, source=str(path))
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .errors import InputError
+
 FIXTURE_RESOURCE = "een_node_stats.csv"
+NUMBER_COLUMNS = ("clustering", "closeness", "betweenness", "eigenvector")
 
 # published whole-network values; non-regenerable, see module docstring
 EEN_REFERENCE = {
@@ -57,26 +60,27 @@ class FixtureValidation:
 
 
 def load_fixture(path: str | Path | None = None) -> list[FixtureRow]:
-    """Read the node-statistics fixture; defaults to the packaged copy."""
+    """Read the node-statistics fixture; defaults to the packaged copy.
+    Undecodable text, a missing column or a malformed value is an
+    InputError naming the file."""
     if path is None:
-        text = (
-            resources.files("netsync").joinpath("data", FIXTURE_RESOURCE).read_text()
-        )
+        file = resources.files("netsync").joinpath("data", FIXTURE_RESOURCE)
     else:
-        text = Path(path).read_text()
+        file = Path(path)
+    try:
+        text = file.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(
-            FixtureRow(
-                country=rec["country"],
-                code=rec["code"],
-                degree=int(rec["degree"]),
-                clustering=float(rec["clustering"]),
-                closeness=float(rec["closeness"]),
-                betweenness=float(rec["betweenness"]),
-                eigenvector=float(rec["eigenvector"]),
-            )
-        )
+    reader = csv.DictReader(text.splitlines())
+    for rec in reader:
+        try:
+            numbers = (float(rec[key]) for key in NUMBER_COLUMNS)
+            rows.append(FixtureRow(rec["country"], rec["code"], int(rec["degree"]), *numbers))
+        except KeyError as exc:
+            raise InputError(f"{file}: missing column {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{file}:{reader.line_num}: {exc}") from None
     return rows
 
 

@@ -17,7 +17,9 @@ from .graph import Graph
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """The toolkit-wide RNG: PCG64 seeded with a 64-bit integer."""
+    """The toolkit-wide RNG: PCG64 seeded with a non-negative integer."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -1,20 +1,20 @@
 """Undirected simple graph with dense integer node ids.
 
-Storage is adjacency lists with sorted neighbor arrays; graphs are
-immutable after construction. A subgraph (``induced_subgraph``) is a new
-graph whose ids are renumbered densely in the order the kept nodes are
-given.
+Storage is one scipy CSR adjacency matrix (``Graph.matrix``): float64 ones,
+each edge stored in both directions, column indices sorted within each row.
+Every module reads that matrix; graphs are immutable after construction. A
+subgraph (``induced_subgraph``) is a new graph whose ids are renumbered
+densely in the order the kept nodes are given.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InputError
 
@@ -22,15 +22,28 @@ NodeId = int
 Edge = tuple[NodeId, NodeId]
 
 
+def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> csr_matrix:
+    """n x n CSR matrix of ones at (rows[i], cols[i]), column indices sorted
+    within each row; the pairs must be distinct."""
+    index = np.int32 if max(n, len(cols)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[np.argsort(rows * n + cols)].astype(index)
+    matrix = csr_matrix((np.ones(len(cols)), indices, indptr), shape=(n, n))
+    matrix.has_sorted_indices = True
+    return matrix
+
+
 class Graph:
     """Simple graph: no self-loops, no parallel edges, symmetric adjacency.
 
     Construction rejects violations loudly instead of silently dropping
-    them; deduplication of raw input belongs to the edge-list ingestion
-    step, which reports what it collapsed.
+    them, naming the first offending edge in input order; deduplication of
+    raw input belongs to the edge-list ingestion step, which reports what
+    it collapsed.
     """
 
-    __slots__ = ("n", "m", "_adj", "labels")
+    __slots__ = ("n", "m", "matrix", "labels")
 
     def __init__(
         self,
@@ -41,29 +54,27 @@ class Graph:
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
         if labels is not None and len(labels) != n:
-            raise InputError(
-                f"got {len(labels)} labels for {n} nodes"
-            )
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at node {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            m += 1
-        for lst in adj:
-            lst.sort()
+            raise InputError(f"got {len(labels)} labels for {n} nodes")
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # every occurrence of an edge after its first is a duplicate
+        keys = np.where(out_of_range, -1, lo * n + hi)
+        duplicate = np.ones(len(keys), dtype=bool)
+        duplicate[np.unique(keys, return_index=True)[1]] = False
+        bad = out_of_range | (u == v) | duplicate
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if out_of_range[i]:
+                raise InputError(f"edge ({a}, {b}) out of range for n={n}")
+            if a == b:
+                raise InputError(f"self-loop at node {a} is not allowed")
+            raise InputError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
         self.n = n
-        self.m = m
-        self._adj = adj
+        self.m = len(pairs)
+        self.matrix = _adjacency(n, np.concatenate([u, v]), np.concatenate([v, u]))
         self.labels = list(labels) if labels is not None else None
 
     # -- basic queries ---------------------------------------------------
@@ -74,47 +85,36 @@ class Graph:
 
     def degree(self, i: NodeId) -> int:
         self._check_node(i)
-        return len(self._adj[i])
+        return int(self.matrix.indptr[i + 1] - self.matrix.indptr[i])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self._adj]
+        return np.diff(self.matrix.indptr).tolist()
+
+    def _row(self, i: NodeId) -> np.ndarray:
+        return self.matrix.indices[self.matrix.indptr[i] : self.matrix.indptr[i + 1]]
 
     def neighbors(self, i: NodeId) -> list[NodeId]:
         """Sorted neighbor ids of ``i`` (a copy; never contains ``i``)."""
         self._check_node(i)
-        return list(self._adj[i])
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """Internal sorted adjacency lists. Treat as read-only."""
-        return self._adj
+        return self._row(i).tolist()
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         self._check_node(u)
         self._check_node(v)
-        nbrs = self._adj[u]
-        pos = bisect_left(nbrs, v)
-        return pos < len(nbrs) and nbrs[pos] == v
+        nbrs = self._row(u)
+        pos = int(nbrs.searchsorted(v))
+        return pos < len(nbrs) and int(nbrs[pos]) == v
 
     def edges(self) -> Iterator[Edge]:
         """Each undirected edge once, as (u, v) with u < v, in sorted order."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        a = self.matrix
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        upper = rows < a.indices
+        return zip(rows[upper].tolist(), a.indices[upper].tolist())
 
     def label_of(self, i: NodeId) -> str:
         self._check_node(i)
         return self.labels[i] if self.labels is not None else str(i)
-
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) view of the adjacency, for scipy.sparse consumers."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(self._adj), dtype=np.int64, count=2 * self.m
-        )
-        return indptr, indices
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -146,7 +146,7 @@ def connected_components(g: Graph) -> ComponentPartition:
     """BFS partition of the node set; components sizes sum to n."""
     comp = [-1] * g.n
     sizes: list[int] = []
-    adj = g.adjacency
+    indptr, indices = g.matrix.indptr.tolist(), g.matrix.indices.tolist()
     for start in range(g.n):
         if comp[start] >= 0:
             continue
@@ -156,7 +156,7 @@ def connected_components(g: Graph) -> ComponentPartition:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if comp[v] < 0:
                     comp[v] = cid
                     size += 1
@@ -168,15 +168,20 @@ def connected_components(g: Graph) -> ComponentPartition:
 def induced_subgraph(g: Graph, nodes: Sequence[NodeId]) -> Graph:
     """Subgraph on ``nodes``; ids are remapped to 0..len(nodes)-1 in the
     order given."""
-    index = {u: i for i, u in enumerate(nodes)}
-    if len(index) != len(nodes):
+    keep = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if len(keep) and (keep.min() < 0 or keep.max() >= g.n):
+        raise InputError(f"node list for induced subgraph has ids outside 0..{g.n - 1}")
+    new_id = np.full(g.n, -1, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    if (new_id[keep] != np.arange(len(keep))).any():
         raise InputError("node list for induced subgraph contains duplicates")
-    edges = []
-    for u in nodes:
-        for v in g.adjacency[u]:
-            if u < v and v in index:
-                edges.append((index[u], index[v]))
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[u] for u in nodes]
-    return Graph(len(nodes), edges, labels)
+    # relabel every stored entry; an entry with a dropped end maps to -1
+    rows = new_id[np.repeat(np.arange(g.n), np.diff(g.matrix.indptr))]
+    cols = new_id[g.matrix.indices]
+    kept = (rows >= 0) & (cols >= 0)
+    sub = Graph.__new__(Graph)
+    sub.n = len(keep)
+    sub.m = int(kept.sum()) // 2
+    sub.matrix = _adjacency(sub.n, rows[kept], cols[kept])
+    sub.labels = None if g.labels is None else [g.labels[u] for u in keep.tolist()]
+    return sub

@@ -5,8 +5,8 @@ closeness and betweenness come from one sweep (``source_sweep``) that runs
 the BFS from a block of sources at once by sparse matrix products, with
 Brandes' accumulation run backwards over the same levels and reduced in a
 fixed block order; ``summarize`` and ``node_stats`` can share one sweep.
-Eigenvector centrality is power iteration on the adjacency matrix of the
-largest component.
+Local clustering is one sparse triangle count. Eigenvector centrality is
+power iteration on the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DegenerateInputError, InputError, NumericalError
-from .graph import ComponentPartition, Graph, connected_components, induced_subgraph
+from .graph import ComponentPartition, Graph, connected_components
 
 
 # -- distances ---------------------------------------------------------------
-
-
-def _adjacency_csr(g: Graph) -> csr_matrix:
-    indptr, indices = g.csr_arrays()
-    data = np.ones(len(indices))
-    return csr_matrix((data, indices, indptr), shape=(g.n, g.n))
 
 
 _BLOCK = 64  # sources per sweep block; its working arrays are (n, _BLOCK)
@@ -63,7 +56,7 @@ def source_sweep(
     src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
     sums, reached, ecc = np.zeros((3, len(src)), dtype=np.int64)
     between = np.zeros(g.n) if brandes else None
-    a = _adjacency_csr(g)
+    a = g.matrix
     for lo in range(0, len(src), _BLOCK):
         block = src[lo : lo + _BLOCK]
         part = slice(lo, lo + len(block))
@@ -152,29 +145,22 @@ def diameter(g: Graph) -> int:
 # -- clustering and degrees ---------------------------------------------------
 
 
-def local_clustering(g: Graph, i: int) -> float:
-    """Fraction of neighbor pairs of ``i`` that are joined by an edge;
-    zero by convention when the degree is below 2."""
-    g._check_node(i)
-    nbrs = g.adjacency[i]
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    nbr_set = set(nbrs)
-    links = 0
-    for u in nbrs:
-        adj_u = g.adjacency[u]
-        for v in adj_u:
-            if v > u and v in nbr_set:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+def local_clustering(g: Graph) -> np.ndarray:
+    """Per node, the fraction of its neighbor pairs that are joined by an
+    edge; zero by convention when the degree is below 2. Row i of
+    (A @ A) * A sums to twice the number of edges among i's neighbors."""
+    a = g.matrix
+    twice_links = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    k = np.diff(a.indptr)
+    return np.divide(twice_links, k * (k - 1), out=np.zeros(g.n), where=k >= 2)
 
 
 def global_clustering(g: Graph) -> float:
     """Arithmetic mean of the local clustering coefficients."""
     if g.n == 0:
         raise InputError("clustering undefined for an empty graph")
-    return sum(local_clustering(g, i) for i in range(g.n)) / g.n
+    # a Python sum in node order, not numpy's pairwise sum
+    return sum(local_clustering(g).tolist()) / g.n
 
 
 def degree_distribution(g: Graph) -> dict[int, float]:
@@ -215,9 +201,8 @@ def eigenvector_centrality(
         raise DegenerateInputError("eigenvector centrality needs at least one edge")
     parts = connected_components(g)
     largest = parts.largest()
-    sub = g if len(largest) == g.n else induced_subgraph(g, largest)
-    a = _adjacency_csr(sub)
-    v = np.full(sub.n, 1.0 / sub.n)
+    a = g.matrix if len(largest) == g.n else g.matrix[largest][:, largest]
+    v = np.full(len(largest), 1.0 / len(largest))
     for iteration in range(1, max_iter + 1):
         w = a @ v + v
         w /= np.abs(w).max()
@@ -314,14 +299,16 @@ def node_stats(g: Graph, sweep: Sweep | None = None) -> list[NodeStats]:
         eigen = eigenvector_centrality(g)
     else:
         eigen = np.zeros(g.n)
+    degrees = g.degrees()
+    clustering = local_clustering(g).tolist()
     rows = []
     for i in range(g.n):
         rows.append(
             NodeStats(
                 node=i,
                 label=g.label_of(i),
-                degree=g.degree(i),
-                clustering=local_clustering(g, i),
+                degree=degrees[i],
+                clustering=clustering[i],
                 closeness=None if math.isnan(closeness[i]) else float(closeness[i]),
                 betweenness=float(betweenness[i]),
                 eigenvector=float(eigen[i]),

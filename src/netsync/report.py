@@ -85,8 +85,8 @@ class PipelineConfig:
             er_edges = gen["model"] == "er" and ("edges" in gen or "m" not in gen)
             for key in ("n", "edges" if er_edges else "m"):
                 _integer(gen, "input.generate", key)
-            for key in ("m0", "seed"):
-                _integer(gen, "input.generate", key, default=0)
+            _integer(gen, "input.generate", "m0", default=0)
+            _integer(gen, "input.generate", "seed", default=0, minimum=0)
             cfg.generate = dict(gen)
 
         stages = raw.get("stages", "all")
@@ -114,10 +114,8 @@ class PipelineConfig:
                 f"resilience.strategy: expected 'attack' or 'error', "
                 f"got {cfg.resilience_strategy!r}"
             )
-        cfg.resilience_seeds = _integer(res, "resilience", "seeds", 1)
-        if cfg.resilience_seeds < 1:
-            raise InputError("resilience.seeds: must be >= 1")
-        cfg.resilience_seed = _integer(res, "resilience", "seed", 0)
+        cfg.resilience_seeds = _integer(res, "resilience", "seeds", 1, minimum=1)
+        cfg.resilience_seed = _integer(res, "resilience", "seed", 0, minimum=0)
         every = res.get("record_every", 0.02)
         if isinstance(every, bool) or not isinstance(every, (int, float)):
             raise InputError(f"resilience.record_every: expected a number, got {every!r}")
@@ -127,14 +125,17 @@ class PipelineConfig:
         return cfg
 
 
-def _integer(obj: dict[str, Any], path: str, key: str, default: int | None = None) -> int:
-    """``<path>.<key>``, which must be an integer; an absent key takes
-    ``default``, and is an error when there is none."""
+def _integer(obj: dict[str, Any], path: str, key: str, default=None, minimum=None) -> int:
+    """``<path>.<key>``, which must be an integer, at least ``minimum`` when
+    one is given; an absent key takes ``default``, and is an error when
+    there is none."""
     if key not in obj and default is None:
         raise InputError(f"{path}.{key}: required")
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{path}.{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return value
 
 

@@ -95,7 +95,6 @@ def run_resilience(
     # current degrees of the survivors; removed nodes are negative, so
     # argmax (first maximum) is the highest-degree survivor with smallest id
     degree = np.array(g.degrees(), dtype=np.int64)
-    adj = g.adjacency
     alive = list(range(g.n))
     n0 = g.n
     stride = max(1, round(record_every * n0))
@@ -104,7 +103,7 @@ def run_resilience(
         if attack:
             target = int(np.argmax(degree))
             alive.remove(target)
-            degree[adj[target]] -= 1
+            degree[g.neighbors(target)] -= 1
             degree[target] = -1
         else:
             # same draw as indexing the survivors' graph, whose ids follow

@@ -34,9 +34,8 @@ Dynamics = Callable[[np.ndarray], np.ndarray]
 def _coupling_operator(g: Graph) -> sparse.csr_matrix:
     """Sparse coupling matrix: a_ij = 1 on edges, a_ii = -k_i. Every entry is
     a small integer, exact in float64, so row sums are exactly zero."""
-    indptr, indices = g.csr_arrays()
-    adjacency = sparse.csr_matrix((np.ones(indices.size), indices, indptr), (g.n, g.n))
-    return (adjacency - sparse.diags(np.diff(indptr).astype(np.float64))).tocsr()
+    degrees = np.diff(g.matrix.indptr).astype(np.float64)
+    return (g.matrix - sparse.diags(degrees)).tocsr()
 
 
 def coupling_matrix(g: Graph) -> np.ndarray:
@@ -83,7 +82,7 @@ def spectral_stability(
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     lam1 = float(w[-1])
     lam2 = float(w[-2])
-    scale = float(max((len(nbrs) for nbrs in g.adjacency), default=0))
+    scale = float(max(g.degrees(), default=0))
     zero_tol = 1e-8 * max(1.0, scale)
     stable = (
         abs(lam1) <= 1e-8 * scale

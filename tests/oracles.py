@@ -3,8 +3,8 @@
 These deliberately avoid the library's algorithms: betweenness is counted
 by exhaustively enumerating every simple path between every pair, and
 distances come from the same enumeration. Only usable on tiny graphs. A
-per-node queue BFS, and the closeness read from it, serve graphs too large
-to enumerate.
+per-node queue BFS, the closeness read from it, and a per-node count of the
+links among a node's neighbors serve graphs too large to enumerate.
 """
 
 from __future__ import annotations
@@ -85,3 +85,19 @@ def closeness_centrality(g: Graph, i: int) -> float:
     if g.degree(i) == 0:
         raise DegenerateInputError(f"closeness undefined for isolated node {i}")
     return 1.0 / sum(d for d in shortest_path_lengths(g, i) if d != math.inf)
+
+
+def local_clustering(g: Graph, i: int) -> float:
+    """Fraction of neighbor pairs of ``i`` joined by an edge, by counting
+    them; zero by convention when the degree is below 2."""
+    nbrs = g.neighbors(i)
+    k = len(nbrs)
+    if k < 2:
+        return 0.0
+    nbr_set = set(nbrs)
+    links = 0
+    for u in nbrs:
+        for v in g.neighbors(u):
+            if v > u and v in nbr_set:
+                links += 1
+    return 2.0 * links / (k * (k - 1))

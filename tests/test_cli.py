@@ -8,6 +8,9 @@ from netsync.cli import main
 from netsync.edgelist import ingest_edge_list
 
 
+FIXTURE_HEADER = "country,code,degree,clustering,closeness,betweenness,eigenvector\n"
+
+
 @pytest.fixture
 def ba_file(tmp_path):
     path = tmp_path / "ba.edges"
@@ -127,10 +130,7 @@ def test_validate_shipped_fixture(capsys):
 
 def test_validate_corrupted_fixture(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text(
-        "country,code,degree,clustering,closeness,betweenness,eigenvector\n"
-        "Italy,IT,38,0.38,0.0172,168.31,0.50\n"
-    )
+    bad.write_text(FIXTURE_HEADER + "Italy,IT,38,0.38,0.0172,168.31,0.50\n")
     assert main(["validate", "--fixture", str(bad)]) == 1
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -232,6 +232,89 @@ class TestExitCodes:
             assert main(argv) == 2
             assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "ba", "--n", "10", "--m", "2"],
+            ["generate", "er", "--n", "10", "--edges", "5"],
+            ["resilience", "--strategy", "error"],
+            ["resilience", "--strategy", "error", "--seeds", "3"],
+            ["sync", "--tmax", "1"],
+            ["fit", "--compare-er"],
+        ],
+        ids=["generate-ba", "generate-er", "resilience-error", "resilience-ensemble",
+             "sync", "fit-compare-er"],
+    )
+    def test_negative_seed_is_input_error(self, ba_file, tmp_path, capsys, argv):
+        if argv[0] != "generate":
+            argv = argv[:1] + ["--edge-list", str(ba_file)] + argv[1:]
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: seed must be a non-negative integer, got -1\n"
+        )
+
+    def test_non_utf8_edge_list_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "binary.edges"
+        bad.write_bytes(b"\xff\xfea b\n")
+        assert main(["analyze", "--edge-list", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: not UTF-8 text")
+
+    def test_non_utf8_fixture_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(b"\xffcountry,code\n")
+        assert main(["validate", "--fixture", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("country,code\nItaly,IT\n", "missing column 'degree'"),
+            (FIXTURE_HEADER + "Italy,IT,many,0.38,0.0172,168.31,0.50\n", ":2: invalid literal"),
+            (FIXTURE_HEADER + "Italy,IT,38\n", ":2: float() argument"),
+        ],
+        ids=["missing-column", "bad-degree", "short-row"],
+    )
+    def test_malformed_fixture_is_input_error(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["validate", "--fixture", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}") and named in err
+
+
+# (subcommand argv, an option it does not read): each is rejected by argparse
+REMOVED_OPTIONS = [
+    (argv, option)
+    for argv, options in [
+        (["generate", "ba", "--n", "10", "--m", "2"], ["--format", "--deterministic"]),
+        (["generate", "er", "--n", "10", "--edges", "5"], ["--format", "--deterministic"]),
+        (["analyze", "--edge-list", "x"], ["--seed", "--deterministic"]),
+        (["fit", "--edge-list", "x"], ["--format", "--deterministic"]),
+        (["resilience", "--edge-list", "x", "--strategy", "attack"],
+         ["--format", "--deterministic"]),
+        (["sync", "--edge-list", "x"], ["--format", "--deterministic"]),
+        (["validate"], ["--seed", "--format", "--deterministic"]),
+        (["pipeline", "--config", "x"], ["--seed", "--format"]),
+    ]
+    for option in options
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option", REMOVED_OPTIONS,
+    ids=[f"{' '.join(a[:2] if a[0] == 'generate' else a[:1])} {o}" for a, o in REMOVED_OPTIONS],
+)
+def test_unread_option_is_rejected(capsys, argv, option):
+    value = {"--seed": ["1"], "--format": ["csv"], "--deterministic": []}[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, *value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join([option, *value])}" in err
+    assert "Traceback" not in err
+
 
 class TestPipelineConfigErrors:
     """Every malformed config is an input error (exit 2) naming its field."""
@@ -267,6 +350,7 @@ class TestPipelineConfigErrors:
             ({"record_every": 1.5}, "resilience.record_every"),
             ({"record_every": -0.1}, "resilience.record_every"),
             ({"record_every": "often"}, "resilience.record_every"),
+            ({"strategy": "error", "seed": -1}, "resilience.seed"),
         ],
     )
     def test_bad_resilience_field(self, tmp_path, capsys, resilience, field):
@@ -284,6 +368,7 @@ class TestPipelineConfigErrors:
             ({"model": "er", "n": 20, "edges": [40]}, "input.generate.edges"),
             ({"model": "er", "n": 20, "edges": 40, "seed": 1.5}, "input.generate.seed"),
             ({"model": "er", "n": 20, "edges": 40, "seed": False}, "input.generate.seed"),
+            ({"model": "er", "n": 20, "edges": 40, "seed": -1}, "input.generate.seed"),
         ],
     )
     def test_bad_generator_field(self, tmp_path, capsys, generate, field):

@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsync.errors import InputError
+from netsync.generators import BAParams, generate_ba
 from netsync.graph import Graph, connected_components, induced_subgraph
 
 
@@ -52,6 +54,23 @@ class TestConstruction:
     def test_label_length_mismatch(self):
         with pytest.raises(InputError):
             Graph(2, [], labels=["a"])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(0, 1), (1, 0), (0, 5)], "duplicate edge (0, 1)"),
+            (3, [(0, 5), (0, 1), (1, 0)], "edge (0, 5) out of range for n=3"),
+            (3, [(0, 1), (2, 2), (1, 0)], "self-loop at node 2 is not allowed"),
+            (3, [(2, 1), (1, 2), (1, 1)], "duplicate edge (1, 2)"),
+            (3, [(1, 2), (0, 5)], "edge (0, 5) out of range for n=3"),
+            (3, [(0, 1), (-1, 2), (0, 1)], "edge (-1, 2) out of range for n=3"),
+            (4, [(0, 1), (2, 3), (5, 6), (3, 3)], "edge (5, 6) out of range for n=4"),
+        ],
+    )
+    def test_reports_first_violation_in_input_order(self, n, edges, message):
+        with pytest.raises(InputError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
 
     def test_edge_count(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
@@ -169,3 +188,54 @@ class TestInducedSubgraph:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(InputError):
             induced_subgraph(path(3), [0, 0])
+
+    def test_out_of_range_nodes_rejected(self):
+        for nodes in ([0, 3], [-1, 1]):
+            with pytest.raises(InputError):
+                induced_subgraph(path(3), nodes)
+
+
+# -- differential tests against networkx ------------------------------------------
+
+
+def to_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_components_match_networkx():
+    """BA(500) thinned to 40% of its edges, with 25 isolated nodes, all ids
+    shuffled: numbering by smallest member id, and the sizes."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(8)
+    ba = generate_ba(BAParams(n=500, m=2, seed=8))
+    perm = rng.permutation(525)
+    edges = [(int(perm[u]), int(perm[v])) for u, v in ba.edges() if rng.random() < 0.4]
+    g = Graph(525, edges)
+    parts = connected_components(g)
+    expected = sorted(nx.connected_components(to_networkx(g)), key=min)
+    assert parts.count == len(expected) > 25
+    assert parts.sizes == [len(c) for c in expected]
+    assert parts.component_of == [
+        next(cid for cid, c in enumerate(expected) if v in c) for v in range(g.n)
+    ]
+
+
+def test_induced_subgraph_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(9)
+    ba = generate_ba(BAParams(n=500, m=3, seed=9))
+    g = Graph(ba.n, list(ba.edges()), labels=[f"v{i}" for i in range(ba.n)])
+    nodes = [int(u) for u in rng.permutation(g.n)[:300]]
+    sub = induced_subgraph(g, nodes)
+    expected = nx.relabel_nodes(
+        to_networkx(g).subgraph(nodes), {u: i for i, u in enumerate(nodes)}
+    )
+    assert (sub.n, sub.m) == (300, expected.number_of_edges())
+    assert sub.labels == [f"v{u}" for u in nodes]
+    for i in range(sub.n):
+        assert sub.neighbors(i) == sorted(expected.neighbors(i))
+    assert list(sub.edges()) == sorted(tuple(sorted(e)) for e in expected.edges())

@@ -28,6 +28,7 @@ from oracles import (
     closeness_centrality,
     shortest_path_lengths,
 )
+from oracles import local_clustering as clustering_by_counting
 
 INF = math.inf
 
@@ -126,13 +127,13 @@ class TestDiameter:
 
 class TestClustering:
     def test_triangle_is_clique(self):
-        assert local_clustering(complete(3), 0) == 1.0
+        assert local_clustering(complete(3))[0] == 1.0
 
     def test_star_center(self):
-        assert local_clustering(star(4), 0) == 0.0
+        assert local_clustering(star(4))[0] == 0.0
 
     def test_degree_one_convention(self):
-        assert local_clustering(path(3), 0) == 0.0
+        assert local_clustering(path(3))[0] == 0.0
 
     def test_global_complete(self):
         assert global_clustering(complete(4)) == 1.0
@@ -143,8 +144,16 @@ class TestClustering:
     def test_mixed(self):
         # triangle plus a pendant: pendant 0, its anchor 1/3
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert local_clustering(g, 2) == pytest.approx(1.0 / 3.0)
-        assert local_clustering(g, 3) == 0.0
+        assert local_clustering(g)[2] == pytest.approx(1.0 / 3.0)
+        assert local_clustering(g)[3] == 0.0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_counting_oracle_bitwise(self, seed):
+        g = random_graph(np.random.default_rng(seed), max_n=12)
+        expected = [clustering_by_counting(g, i) for i in range(g.n)]
+        assert local_clustering(g).tolist() == expected
+        assert global_clustering(g) == sum(expected) / g.n
 
 
 class TestDegreeDistribution:
@@ -264,8 +273,8 @@ class TestPermutationEquivariance:
         bc_p = betweenness_centrality(permuted)
         for i in range(g.n):
             assert bc_p[perm[i]] == pytest.approx(bc[i], abs=1e-12)
-            assert local_clustering(permuted, int(perm[i])) == pytest.approx(
-                local_clustering(g, i), abs=1e-12
+            assert local_clustering(permuted)[perm[i]] == pytest.approx(
+                local_clustering(g)[i], abs=1e-12
             )
             assert permuted.degree(int(perm[i])) == g.degree(i)
 
@@ -431,6 +440,16 @@ def test_distances_match_networkx(name):
     assert s.diameter == diameter(g) == nx.diameter(h.subgraph(lcc))
     if name == "tied":
         assert s.diameter < nx.diameter(h.subgraph(range(1, g.n, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_clustering_matches_networkx(name):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    expected = nx.clustering(to_networkx(g))
+    got = local_clustering(g)
+    assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-15, abs=0)
+    assert [r.clustering for r in node_stats(g)] == got.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))

@@ -39,3 +39,13 @@ def test_synchronization_experiment(tmp_path, child_env):
     assert header(out) == "t,sync_error"
     assert len(out.read_text().splitlines()) == 502  # header + 501 grid points
     assert "lambda2=" in proc.stdout
+
+
+def test_output_digests(tmp_path, child_env):
+    proc = run_script(child_env, "output_digests.py", tmp_path / "out", "--n", 60)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 36  # 33 command outputs and the 3 edge lists
+    digest, name = lines[0].split("  ")
+    assert len(digest) == 64 and name == "ba49.analyze.csv"
+    again = run_script(child_env, "output_digests.py", tmp_path / "again", "--n", 60)
+    assert again.stdout == proc.stdout
