@@ -8,7 +8,9 @@ The set covers every subcommand that writes a report: on a BA graph of
 ``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
 --tmax 2`` and ``sync --tmax 5``; and ``pipeline --deterministic`` with every
 stage on both 49-node graphs, under attack and under a 4-seed error
-ensemble. The three generated edge lists are hashed too.
+ensemble. On a 30x30 grid, whose edge list the script writes itself,
+``resilience`` runs under attack and error with seed 3: a long-diameter
+input unlike the random graphs. The four edge lists are hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
@@ -34,6 +36,19 @@ GRAPHS = {
 }
 
 
+def grid_edges(side: int) -> str:
+    """Edge list of a side x side grid, node r*side + c at row r, column c."""
+    lines = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                lines.append(f"{v} {v + 1}")
+            if r + 1 < side:
+                lines.append(f"{v} {v + side}")
+    return "\n".join(lines) + "\n"
+
+
 def commands(n: int) -> list[list[str]]:
     argvs = [["generate", *spec, "--out", f"{name}.edges"] for name, spec in GRAPHS.items()]
     argvs[0][2:2] = ["--n", str(n)]
@@ -56,6 +71,11 @@ def commands(n: int) -> list[list[str]]:
         ["sync", "--edge-list", "er49.edges", "--full", "--tmax", "2",
          "--out", "er49.sync_full.csv"],
         ["sync", "--edge-list", "er49.edges", "--tmax", "5", "--out", "er49.sync.csv"],
+    ]
+    grid = ["resilience", "--edge-list", "grid30.edges", "--strategy"]
+    argvs += [
+        [*grid, "attack", "--out", "grid30.attack.csv"],
+        [*grid, "error", "--seed", "3", "--out", "grid30.error.csv"],
     ]
     return argvs
 
@@ -83,6 +103,7 @@ def main() -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.outdir)
+    Path("grid30.edges").write_text(grid_edges(30))
     argvs = commands(args.n)
     for stem, cfg in pipeline_configs().items():
         Path(f"{stem}.config.json").write_text(json.dumps(cfg))

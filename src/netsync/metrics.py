@@ -5,6 +5,8 @@ closeness and betweenness come from one sweep (``source_sweep``) that runs
 the BFS from a block of sources at once by sparse matrix products, with
 Brandes' accumulation run backwards over the same levels and reduced in a
 fixed block order; ``summarize`` and ``node_stats`` can share one sweep.
+``diameter`` alone needs no sweep of every source: iFUB from a double-sweep
+start runs a few BFS on most graphs.
 Local clustering is one sparse triangle count. Eigenvector centrality is
 power iteration on the adjacency matrix of the largest component.
 """
@@ -120,18 +122,63 @@ def average_path_length(g: Graph) -> PathLengthStats:
     return _path_length_stats(g.n, source_sweep(g))
 
 
+def _bfs_levels(g: Graph, source: int) -> np.ndarray:
+    """BFS depth of every node from ``source``; -1 where unreached."""
+    level = np.full(g.n, -1, dtype=np.int64)
+    level[source] = 0
+    frontier = (level == 0).astype(np.float64)
+    depth = 0
+    while True:
+        new = (g.matrix @ frontier > 0) & (level < 0)
+        if not new.any():
+            return level
+        depth += 1
+        level[new] = depth
+        frontier = new.astype(np.float64)
+
+
 def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | None:
-    """Diameter of the largest component of ``g``, given its partition,
-    from a sweep of its nodes; None when it has fewer than 2 nodes."""
+    """Exact diameter of the largest component of ``g``, given its
+    partition; None when it has fewer than 2 nodes.
+
+    A component of at most _BLOCK nodes is one sweep block either way, so
+    all its sources are swept. A larger one runs iFUB (Crescenzi et al.,
+    TCS 514, 2013) from a double-sweep start (Takes & Kosters, Algorithms
+    4, 2011): BFS from the highest-degree node r (ties: smallest id) finds
+    a farthest node a, BFS from a a farthest node b, and span = d(a, b) is
+    the first lower bound; the start u is the smallest id halfway between a
+    and b. The fringe levels of u's BFS are then swept from the deepest, i,
+    down while lb < 2i: any two nodes at depth <= i are at most 2i apart,
+    and every pair with an end deeper than i has been seen.
+    """
     largest = parts.largest()
     if len(largest) < 2:
         return None
-    return int(source_sweep(g, largest).eccentricity.max())
+    if len(largest) <= _BLOCK:
+        return int(source_sweep(g, largest).eccentricity.max())
+    degree = np.diff(g.matrix.indptr)[largest]
+    r = largest[int(np.argmax(degree))]
+    a = int(np.argmax(_bfs_levels(g, r)))
+    from_a = _bfs_levels(g, a)
+    b = int(np.argmax(from_a))
+    span = int(from_a[b])
+    half = span // 2
+    from_b = _bfs_levels(g, b)
+    u = int(np.flatnonzero((from_a == half) & (from_b == span - half))[0])
+    from_u = _bfs_levels(g, u)
+    depth = int(from_u.max())
+    lb = max(span, depth)
+    while lb < 2 * depth:
+        fringe = np.flatnonzero(from_u == depth)
+        lb = max(lb, int(source_sweep(g, fringe).eccentricity.max()))
+        depth -= 1
+    return lb
 
 
 def diameter(g: Graph) -> int:
     """Longest shortest path; on disconnected graphs, that of the largest
-    component."""
+    component. Exact: iFUB from a double-sweep start on components of more
+    than _BLOCK nodes, a sweep of every source on smaller ones."""
     if g.n < 2:
         raise InputError("diameter needs at least 2 nodes")
     diam = _largest_component_diameter(g, connected_components(g))

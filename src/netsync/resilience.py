@@ -7,7 +7,10 @@ degrees by one). The sweep keeps the input graph and the ascending list of
 surviving ids, and builds the survivors' graph only for a recorded row,
 whose granularity is a configurable removal fraction. After fragmentation,
 the diameter reported is that of the largest remaining component, and 0
-once that component is a single node.
+once that component is a single node. Each row's diameter is exact: a
+component of at most 64 nodes (one sweep block) has every source swept,
+a larger one runs iFUB from a double-sweep start, a few BFS per row
+(``metrics._largest_component_diameter``).
 """
 
 from __future__ import annotations

@@ -76,6 +76,8 @@ def spectral_stability(
         )
     if closeness_threshold is None:
         closeness_threshold = default_closeness_threshold(g)
+    elif not math.isfinite(closeness_threshold):
+        raise InputError(f"closeness_threshold must be finite, got {closeness_threshold}")
     try:
         w = np.linalg.eigvalsh(coupling_matrix(g))
     except np.linalg.LinAlgError as exc:

@@ -210,9 +210,12 @@ class TestExitCodes:
             (["--dt", "1e-300", "--tmax", "1"], "bytes"),
             (["--dt", "1e-3", "--tmax", "1e6", "--full"], "bytes"),
             (["--state-dim", "-1"], "state_dim"),
+            (["--spectral-only", "--closeness-threshold", "nan"], "closeness_threshold"),
+            (["--spectral-only", "--closeness-threshold", "inf"], "closeness_threshold"),
         ],
         ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tol-nan", "tmax-1e15",
-             "dt-1e-300", "full-states", "state-dim-negative"],
+             "dt-1e-300", "full-states", "state-dim-negative", "closeness-nan",
+             "closeness-inf"],
     )
     def test_bad_sync_numbers(self, ba_file, capsys, args, named):
         assert main(["sync", "--edge-list", str(ba_file), *args]) == 2

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from netsync.errors import DegenerateInputError, InputError
 from netsync.graph import Graph
-from netsync.generators import BAParams, generate_ba
+from netsync.generators import BAParams, ERParams, generate_ba, generate_er
+from netsync import metrics
 from netsync.metrics import (
     average_path_length,
     betweenness_centrality,
@@ -123,6 +124,36 @@ class TestDiameter:
     def test_singleton_largest_component(self):
         with pytest.raises(DegenerateInputError):
             diameter(Graph(3))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_above_one_block(self, data):
+        # connected graphs of more than 64 nodes, so iFUB runs: a random
+        # tree whose parent lies within ``reach`` ids (1: a path, n: a
+        # random recursive tree), extra edges, then shuffled ids
+        n = data.draw(st.integers(65, 150))
+        reach = data.draw(st.integers(1, n))
+        edges = [(i, data.draw(st.integers(max(0, i - reach), i - 1))) for i in range(1, n)]
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [p for p in data.draw(st.lists(pairs, max_size=n // 4)) if p[0] != p[1]]
+        perm = data.draw(st.permutations(range(n)))
+        unique = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
+        g = Graph(n, sorted(unique))
+        expected = max(max(shortest_path_lengths(g, s)) for s in range(g.n))
+        assert diameter(g) == expected
+
+    def test_path_takes_a_few_bfs(self, monkeypatch):
+        # the double-sweep start is the middle of the path, whose one
+        # deepest node settles the bound; a start at an end would need the
+        # fringe of half the levels
+        runs = []
+        bfs, sweep = metrics._bfs_levels, metrics.source_sweep
+        monkeypatch.setattr(metrics, "_bfs_levels", lambda g, s: runs.append(s) or bfs(g, s))
+        monkeypatch.setattr(
+            metrics, "source_sweep", lambda g, src: runs.extend(src) or sweep(g, src)
+        )
+        assert diameter(path(1000)) == 999
+        assert len(runs) <= 5
 
 
 class TestClustering:
@@ -440,6 +471,65 @@ def test_distances_match_networkx(name):
     assert s.diameter == diameter(g) == nx.diameter(h.subgraph(lcc))
     if name == "tied":
         assert s.diameter < nx.diameter(h.subgraph(range(1, g.n, 2)))
+
+
+def from_networkx(h):
+    index = {v: i for i, v in enumerate(sorted(h))}
+    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def tied_with_isolated():
+    """A 100-node BA graph (m=3) on ids 0..99, a 100-node tree on 100..199
+    and five isolated nodes: the first-numbered of the two tied largest
+    components, the one measured, has the smaller diameter."""
+    dense = generate_ba(BAParams(n=100, m=3, seed=5))
+    tree = generate_ba(BAParams(n=100, m=1, seed=6))
+    edges = list(dense.edges()) + [(u + 100, v + 100) for u, v in tree.edges()]
+    return Graph(205, edges)
+
+
+def cycle_with_tails():
+    """An 8-cycle c0..c7 with tails of 4 nodes at c1 and c2, one of 2 nodes
+    at c5, and 50 leaves at c0; the c1 and c5 tail ends are 10 apart. From
+    c0 the double sweep reaches the c2 tail's end, then the other ends at
+    distance 9, and starts at c2: its deepest level, 5, holds those two
+    ends, so the bound 9 = 2*5 - 1 may not end the search before it."""
+    edges = [(i, (i + 1) % 8) for i in range(8)]
+    n = 8
+    for at, length in ((1, 4), (2, 4), (5, 2)):
+        for node in range(n, n + length):
+            edges.append((node - 1 if node > n else at, node))
+        n += length
+    edges += [(0, leaf) for leaf in range(n, n + 50)]
+    return Graph(n + 50, edges)
+
+
+DIAMETER_GRAPHS = {
+    "cycle_with_tails": cycle_with_tails,
+    "ba500": lambda: generate_ba(BAParams(n=500, m=3, seed=21)),
+    "er500": lambda: generate_er(ERParams(n=500, m=1000, seed=22)),
+    "grid30": lambda: from_networkx(pytest.importorskip("networkx").grid_2d_graph(30, 30)),
+    "path1000": lambda: path(1000),
+    "cycle129": lambda: cycle(129),
+    "cycle130": lambda: cycle(130),
+    "star100": lambda: star(100),
+    "lollipop": lambda: from_networkx(pytest.importorskip("networkx").lollipop_graph(30, 70)),
+    "tied_isolated": tied_with_isolated,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
+def test_diameter_matches_networkx(name):
+    g = DIAMETER_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(g)
+    lcc = max(nx.connected_components(h), key=lambda c: (len(c), -min(c)))
+    assert len(lcc) > 64
+    assert diameter(g) == nx.diameter(h.subgraph(lcc), usebounds=True)
+    if name == "tied_isolated":
+        assert diameter(g) < nx.diameter(h.subgraph(range(100, 200)), usebounds=True)
+    if name == "cycle_with_tails":
+        assert diameter(g) == 10
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))

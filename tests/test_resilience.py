@@ -175,14 +175,27 @@ def test_matches_networkx_on_ba_300(strategy):
     assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
 
 
+def cycle_beside_ba(k):
+    """A k-cycle (diameter k/2) on ids 0..k-1 and a k-node BA graph on
+    k..2k-1: the two largest components tie, and the cycle is measured."""
+    ba = generate_ba(BAParams(n=k, m=2, seed=3))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(u + k, v + k) for u, v in ba.edges()]
+    return Graph(2 * k, edges)
+
+
 @pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
 def test_matches_networkx_with_tied_largest_components(strategy):
-    # a 40-cycle (diameter 20) on ids 0..39 and a 40-node BA graph on
-    # 40..79: the two largest components tie, and the cycle is measured
-    ba = generate_ba(BAParams(n=40, m=2, seed=3))
-    edges = [(i, (i + 1) % 40) for i in range(40)]
-    edges += [(u + 40, v + 40) for u, v in ba.edges()]
-    g = Graph(80, edges)
+    g = cycle_beside_ba(40)
     trace = run_resilience(g, strategy, record_every=0.05)
     assert trace.rows[0].diameter == 20 and trace.rows[0].components == 2
+    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)
+
+
+@pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
+def test_matches_networkx_with_tied_components_above_one_block(strategy):
+    # 100-node components take the iFUB path, not one sweep block
+    g = cycle_beside_ba(100)
+    trace = run_resilience(g, strategy, record_every=0.05)
+    assert trace.rows[0].diameter == 50 and trace.rows[0].components == 2
     assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import numpy as np
@@ -88,6 +89,11 @@ class TestSpectralStability:
     def test_needs_two_nodes(self):
         with pytest.raises(InputError):
             spectral_stability(Graph(1))
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(InputError, match="closeness_threshold must be finite"):
+            spectral_stability(complete(5), threshold)
 
     def test_gap_field(self):
         rep = spectral_stability(complete(5))
