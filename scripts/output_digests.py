@@ -8,9 +8,12 @@ The set covers every subcommand that writes a report: on a BA graph of
 ``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
 --tmax 2`` and ``sync --tmax 5``; and ``pipeline --deterministic`` with every
 stage on both 49-node graphs, under attack and under a 4-seed error
-ensemble. On a 30x30 grid, whose edge list the script writes itself,
+ensemble. On a square grid, whose edge list the script writes itself,
 ``resilience`` runs under attack and error with seed 3: a long-diameter
-input unlike the random graphs. The four edge lists are hashed too.
+input unlike the random graphs. The grid is 30x30 at the default ``--n``
+and isqrt(n) wide below 900 nodes, but never under 9x9, so its first
+components stay above the 64-node sweep block. The four edge lists are
+hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
@@ -24,6 +27,7 @@ outputs when two runs print the same lines:
 import argparse
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -72,10 +76,10 @@ def commands(n: int) -> list[list[str]]:
          "--out", "er49.sync_full.csv"],
         ["sync", "--edge-list", "er49.edges", "--tmax", "5", "--out", "er49.sync.csv"],
     ]
-    grid = ["resilience", "--edge-list", "grid30.edges", "--strategy"]
+    grid = ["resilience", "--edge-list", "grid.edges", "--strategy"]
     argvs += [
-        [*grid, "attack", "--out", "grid30.attack.csv"],
-        [*grid, "error", "--seed", "3", "--out", "grid30.error.csv"],
+        [*grid, "attack", "--out", "grid.attack.csv"],
+        [*grid, "error", "--seed", "3", "--out", "grid.error.csv"],
     ]
     return argvs
 
@@ -103,7 +107,7 @@ def main() -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.outdir)
-    Path("grid30.edges").write_text(grid_edges(30))
+    Path("grid.edges").write_text(grid_edges(min(30, max(9, math.isqrt(args.n)))))
     argvs = commands(args.n)
     for stem, cfg in pipeline_configs().items():
         Path(f"{stem}.config.json").write_text(json.dumps(cfg))
