@@ -170,7 +170,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             result.graph, RandomError(seed=args.seed), args.record_every
         )
     else:
-        seeds = [args.seed + i for i in range(args.seeds)]
+        seeds = range(args.seed, args.seed + args.seeds)
         trace = run_error_ensemble(result.graph, seeds, args.record_every)
     _emit(rows_csv(trace.rows), args.out)
     return 0

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the up-front check
+that an allocation fits in memory.
 
 The CLI maps these onto exit codes: ValidationError -> 1, InputError -> 2,
 NumericalError -> 3.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class ToolkitError(Exception):
@@ -46,3 +49,13 @@ class DivergenceError(NumericalError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+
+def check_memory(nbytes: float, what: str) -> None:
+    """Raise InputError, naming the bytes, when ``what`` needs more than
+    the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise InputError(
+            f"{what} need {nbytes:.6g} bytes, more than the {memory} bytes of physical memory"
+        )

@@ -19,6 +19,7 @@ from .errors import InputError
 
 FIXTURE_RESOURCE = "een_node_stats.csv"
 NUMBER_COLUMNS = ("clustering", "closeness", "betweenness", "eigenvector")
+COLUMNS = ("country", "code", "degree", *NUMBER_COLUMNS)
 
 # published whole-network values; non-regenerable, see module docstring
 EEN_REFERENCE = {
@@ -61,8 +62,8 @@ class FixtureValidation:
 
 def load_fixture(path: str | Path | None = None) -> list[FixtureRow]:
     """Read the node-statistics fixture; defaults to the packaged copy.
-    Undecodable text, a missing column or a malformed value is an
-    InputError naming the file."""
+    Undecodable text, a header that lacks a column (an empty file lacks
+    all) or a malformed value is an InputError naming the file."""
     if path is None:
         file = resources.files("netsync").joinpath("data", FIXTURE_RESOURCE)
     else:
@@ -71,14 +72,15 @@ def load_fixture(path: str | Path | None = None) -> list[FixtureRow]:
         text = file.read_text()
     except UnicodeDecodeError as exc:
         raise InputError(f"{file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    rows = []
     reader = csv.DictReader(text.splitlines())
+    missing = [key for key in COLUMNS if key not in (reader.fieldnames or ())]
+    if missing:
+        raise InputError(f"{file}: missing column {', '.join(map(repr, missing))}")
+    rows = []
     for rec in reader:
         try:
             numbers = (float(rec[key]) for key in NUMBER_COLUMNS)
             rows.append(FixtureRow(rec["country"], rec["code"], int(rec["degree"]), *numbers))
-        except KeyError as exc:
-            raise InputError(f"{file}: missing column {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"{file}:{reader.line_num}: {exc}") from None
     return rows

@@ -12,8 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, check_memory
 from .graph import Graph
+
+
+def _check_graph_memory(model: str, n: int, edges: int) -> None:
+    """Reject a graph whose arrays cannot fit, before any is built. The
+    bytes are a lower bound on what ``Graph`` holds while it is built: per
+    edge its int64 pair and two stored entries, each a float64 value and
+    the int64 column they are sorted by; per node an int64 degree count and
+    an int32 row pointer. The generators' Python lists come on top."""
+    check_memory(48.0 * edges + 12.0 * n, f"the arrays of {model}(n={n}) with {edges} edges")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -42,6 +51,7 @@ class BAParams:
             raise InputError(
                 f"need 1 <= m <= m0 < n, got m={self.m}, m0={m0}, n={self.n}"
             )
+        _check_graph_memory("BA", self.n, m0 * (m0 - 1) // 2 + (self.n - m0) * self.m)
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,7 @@ class ERParams:
             raise InputError(
                 f"edge count {self.m} outside [0, {max_edges}] for n={self.n}"
             )
+        _check_graph_memory("ER", self.n, self.m)
 
 
 def attachment_probabilities(degrees: list[int] | np.ndarray) -> np.ndarray:

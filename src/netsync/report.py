@@ -217,7 +217,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
                         cfg.resilience_record_every,
                     )
                 else:
-                    seeds = [cfg.resilience_seed + i for i in range(cfg.resilience_seeds)]
+                    seeds = range(cfg.resilience_seed, cfg.resilience_seed + cfg.resilience_seeds)
                     report.resilience = run_error_ensemble(
                         graph, seeds, cfg.resilience_record_every
                     )

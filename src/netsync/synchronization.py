@@ -16,14 +16,13 @@ state mean.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DivergenceError, InputError, NumericalError
+from .errors import DivergenceError, InputError, NumericalError, check_memory
 from .graph import Graph
 
 MAX_EIGEN_N = 5000
@@ -190,10 +189,7 @@ class SyncConfig:
         # times and errors; kept states (or the last); one RK4 step's 8 arrays
         rows = self.t_max / self.dt + 1.0
         floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 8)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8.0 * floats > memory:
-            raise InputError(f"{rows - 1:.6g} steps of {n} nodes need {8.0 * floats:.6g} "
-                             f"bytes, more than the {memory} bytes of physical memory")
+        check_memory(8.0 * floats, f"{rows - 1:.6g} steps of {n} nodes")
 
     def resolve_dynamics(self) -> Dynamics:
         if callable(self.dynamics):

@@ -228,6 +228,14 @@ class TestExitCodes:
         assert main(["sync", "--edge-list", str(empty)]) == 2
         assert "at least 1 node" in capsys.readouterr().err
 
+    def test_ensemble_too_large_for_memory(self, ba_file, capsys):
+        argv = ["resilience", "--edge-list", str(ba_file), "--strategy", "error",
+                "--seeds", str(10**12)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: the rows of {10**12} error runs need")
+        assert "bytes of physical memory" in err
+
     def test_resilience_needs_a_positive_seed_count(self, ba_file, capsys):
         for count in ("0", "-3"):
             argv = ["resilience", "--edge-list", str(ba_file), "--strategy",
@@ -276,8 +284,10 @@ class TestExitCodes:
             ("country,code\nItaly,IT\n", "missing column 'degree'"),
             (FIXTURE_HEADER + "Italy,IT,many,0.38,0.0172,168.31,0.50\n", ":2: invalid literal"),
             (FIXTURE_HEADER + "Italy,IT,38\n", ":2: float() argument"),
+            ("0 1\n1 2\n", "missing column 'country', 'code', 'degree', 'clustering'"),
+            ("", "missing column 'country', 'code', 'degree', 'clustering'"),
         ],
-        ids=["missing-column", "bad-degree", "short-row"],
+        ids=["missing-column", "bad-degree", "short-row", "edge-list", "empty"],
     )
     def test_malformed_fixture_is_input_error(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.csv"
@@ -378,6 +388,18 @@ class TestPipelineConfigErrors:
         cfg = dict(self.GOOD, input={"generate": generate})
         code, err = self.run(tmp_path, capsys, json.dumps(cfg))
         assert code == 2 and f"{field}:" in err
+
+    def test_generated_graph_too_large_for_memory(self, tmp_path, capsys):
+        cfg = dict(self.GOOD, input={"generate": {"model": "ba", "n": 10**12, "m": 3}})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and "bytes of physical memory" in err
+
+    def test_ensemble_too_large_for_memory_fails_its_stage(self, tmp_path, capsys):
+        cfg = dict(self.GOOD, resilience={"strategy": "error", "seeds": 10**12})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == 0 and "resilience" not in report
+        assert report["errors"]["resilience"].startswith(f"the rows of {10**12} error runs need")
 
     def test_deterministic_must_be_boolean(self, tmp_path, capsys):
         cfg = dict(self.GOOD, deterministic="false")

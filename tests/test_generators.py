@@ -52,6 +52,11 @@ class TestBA:
         with pytest.raises(InputError):
             generate_ba(BAParams(n=n, m=m, m0=m0, seed=0))
 
+    def test_graph_must_fit_in_memory(self):
+        # 3e12 edges at 48 bytes and 1e12 nodes at 12, refused up front
+        with pytest.raises(InputError, match=r"BA\(n=1000000000000\) .* need 1\.56e\+14 bytes"):
+            generate_ba(BAParams(n=10**12, m=3, seed=0))
+
     def test_determinism(self):
         a = generate_ba(BAParams(n=200, m=2, seed=9))
         b = generate_ba(BAParams(n=200, m=2, seed=9))
@@ -85,6 +90,11 @@ class TestER:
     def test_mean_degree_exact(self):
         g = generate_er(ERParams(n=1000, m=3000, seed=0))
         assert np.mean(g.degrees()) == 6.0
+
+    def test_graph_must_fit_in_memory(self):
+        # three edges, but a degree count and row pointer for each of 1e12 nodes
+        with pytest.raises(InputError, match=r"ER\(n=1000000000000\) .* need 1\.2e\+13 bytes"):
+            generate_er(ERParams(n=10**12, m=3, seed=0))
 
     def test_too_many_edges(self):
         with pytest.raises(InputError):

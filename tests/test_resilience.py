@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netsync import metrics, resilience
 from netsync.errors import InputError
-from netsync.generators import BAParams, generate_ba
+from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.graph import Graph
 from netsync.resilience import (
     RandomError,
@@ -125,6 +128,17 @@ def test_ensemble_needs_seeds():
         run_error_ensemble(complete(4), [])
 
 
+def test_ensemble_takes_a_range_of_seeds():
+    g = star(12)
+    assert run_error_ensemble(g, range(4, 7), 0.25) == run_error_ensemble(g, [6, 4, 5], 0.25)
+
+
+def test_ensemble_rows_must_fit_in_memory():
+    # 10**12 runs of 5 rows: 1.2e14 bytes of rows, refused before any run
+    with pytest.raises(InputError, match=rf"of {10**12} error runs need 1\.2e\+14 bytes"):
+        run_error_ensemble(complete(5), range(10**12), record_every=0.2)
+
+
 # -- differential tests against networkx ------------------------------------------
 
 
@@ -186,10 +200,12 @@ def cycle_beside_ba(k):
 
 @pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
 def test_matches_networkx_with_tied_largest_components(strategy):
-    g = cycle_beside_ba(40)
-    trace = run_resilience(g, strategy, record_every=0.05)
-    assert trace.rows[0].diameter == 20 and trace.rows[0].components == 2
-    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)
+    # 40 + 40 nodes take per-row snapshots; 20 + 20 and 32 + 32 the insertion
+    for k in (20, 32, 40):
+        g = cycle_beside_ba(k)
+        trace = run_resilience(g, strategy, record_every=0.05)
+        assert trace.rows[0].diameter == k // 2 and trace.rows[0].components == 2
+        assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05), k
 
 
 @pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
@@ -199,3 +215,69 @@ def test_matches_networkx_with_tied_components_above_one_block(strategy):
     trace = run_resilience(g, strategy, record_every=0.05)
     assert trace.rows[0].diameter == 50 and trace.rows[0].components == 2
     assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)
+
+
+# -- rows by insertion: graphs of at most one sweep block (64 nodes) --------------
+
+
+STRATEGIES = [TargetedAttack(), RandomError(seed=4)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("n", [2, 3, 49, 63, 64, 65])
+def test_matches_networkx_either_side_of_one_block(n, strategy):
+    # at most 64 nodes: one distance matrix; 65: per-row snapshots
+    g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, 2 * n), seed=n))
+    assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
+def test_matches_networkx_with_isolated_nodes(shift, strategy):
+    # a 30-node BA graph beside ten isolated nodes, on ids 30..39 or 0..9
+    ba = generate_ba(BAParams(n=30, m=2, seed=6))
+    g = Graph(40, [(u + shift, v + shift) for u, v in ba.edges()])
+    assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("record_every", [0.02, 0.3, 1.0])
+def test_matches_networkx_at_each_granularity(record_every, strategy):
+    g = generate_er(ERParams(n=49, m=120, seed=3))
+    trace = run_resilience(g, strategy, record_every)
+    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_matches_networkx_on_random_small_graphs(data):
+    n = data.draw(st.integers(2, 64))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(p), max(p)) for p in data.draw(st.lists(pairs, max_size=3 * n)) if p[0] != p[1]}
+    g = Graph(n, sorted(edges))
+    seed = data.draw(st.integers(0, 99))
+    strategy = data.draw(st.sampled_from([TargetedAttack(), RandomError(seed=seed)]))
+    record_every = data.draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    trace = run_resilience(g, strategy, record_every)
+    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every)
+
+
+class Refused(Exception):
+    pass
+
+
+def test_one_block_builds_no_subgraph_and_runs_no_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    for module, name in [(resilience, "induced_subgraph"),
+                         (resilience, "connected_components"),
+                         (metrics, "source_sweep")]:
+        monkeypatch.setattr(module, name, refuse)
+    for n in (2, 49, 64):
+        g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, n), seed=1))
+        for strategy in STRATEGIES:
+            run_resilience(g, strategy)
+    # past one block, each row is built and measured on its own
+    with pytest.raises(Refused):
+        run_resilience(generate_er(ERParams(n=65, m=65, seed=1)), TargetedAttack())
