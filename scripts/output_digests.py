@@ -7,13 +7,16 @@ The set covers every subcommand that writes a report: on a BA graph of
 5-seed error ensemble), ``fit --compare-er`` (inline and with
 ``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
 --tmax 2`` and ``sync --tmax 5``; and ``pipeline --deterministic`` with every
-stage on both 49-node graphs, under attack and under a 4-seed error
-ensemble. On a square grid, whose edge list the script writes itself,
-``resilience`` runs under attack and error with seed 3: a long-diameter
-input unlike the random graphs. The grid is 30x30 at the default ``--n``
-and isqrt(n) wide below 900 nodes, but never under 9x9, so its first
-components stay above the 64-node sweep block. The four edge lists are
-hashed too.
+stage on both 49-node edge lists, under attack and under a 4-seed error
+ensemble. Four more pipelines generate their graph from ``input.generate``
+and run every stage with a one-seed error run (seed 2): ER(49, 351, seed 3)
+with its edge count as ``edges`` and as the alias ``m``, and BA(49, m=8,
+seed 5) with the default core and with ``m0`` 10. On a square grid, whose
+edge list the script writes itself, ``resilience`` runs under attack and
+error with seed 3: a long-diameter input unlike the random graphs. The grid
+is 30x30 at the default ``--n`` and isqrt(n) wide below 900 nodes, but
+never under 9x9, so it stays above the 64 nodes up to which a sweep's rows
+come from one distance matrix. The four edge lists are hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
@@ -84,10 +87,18 @@ def commands(n: int) -> list[list[str]]:
     return argvs
 
 
+GENERATED = {
+    "er49_edges": {"model": "er", "n": 49, "edges": 351, "seed": 3},
+    "er49_m": {"model": "er", "n": 49, "m": 351, "seed": 3},
+    "ba49_core": {"model": "ba", "n": 49, "m": 8, "seed": 5},
+    "ba49_m0": {"model": "ba", "n": 49, "m": 8, "m0": 10, "seed": 5},
+}
+
+
 def pipeline_configs() -> dict[str, dict]:
     resilience = {"attack": {"strategy": "attack"},
                   "ensemble": {"strategy": "error", "seeds": 4, "seed": 1}}
-    return {
+    configs = {
         f"{name}.pipeline_{kind}": {
             "input": {"edge_list": f"{name}.edges"},
             "stages": "all",
@@ -96,6 +107,13 @@ def pipeline_configs() -> dict[str, dict]:
         for name in ("er49", "ba49")
         for kind, res in resilience.items()
     }
+    for name, spec in GENERATED.items():
+        configs[f"{name}.pipeline_error"] = {
+            "input": {"generate": spec},
+            "stages": "all",
+            "resilience": {"strategy": "error", "seed": 2},
+        }
+    return configs
 
 
 def main() -> None:

@@ -28,7 +28,7 @@ from .report import (
     to_plain,
     trajectory_csv,
 )
-from .resilience import RandomError, TargetedAttack, run_error_ensemble, run_resilience
+from .resilience import RandomError, TargetedAttack, run_removals
 from .synchronization import SyncConfig, simulate, spectral_stability
 
 
@@ -163,15 +163,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise InputError(f"--seeds: must be >= 1, got {args.seeds}")
     result = ingest_edge_list(args.edge_list)
-    if args.strategy == "attack":
-        trace = run_resilience(result.graph, TargetedAttack(), args.record_every)
-    elif args.seeds == 1:
-        trace = run_resilience(
-            result.graph, RandomError(seed=args.seed), args.record_every
-        )
-    else:
-        seeds = range(args.seed, args.seed + args.seeds)
-        trace = run_error_ensemble(result.graph, seeds, args.record_every)
+    strategy = TargetedAttack() if args.strategy == "attack" else RandomError(args.seed)
+    trace = run_removals(result.graph, strategy, args.seeds, args.record_every)
     _emit(rows_csv(trace.rows), args.out)
     return 0
 

@@ -6,9 +6,9 @@ the BFS from a block of sources at once by sparse matrix products, with
 Brandes' accumulation run backwards over the same levels and reduced in a
 fixed block order; ``summarize`` and ``node_stats`` can share one sweep.
 ``diameter`` alone needs no sweep of every source: iFUB from a double-sweep
-start runs a few BFS on most graphs.
-Local clustering is one sparse triangle count. Eigenvector centrality is
-power iteration on the adjacency matrix of the largest component.
+start runs a few BFS on most graphs, small components included. Local
+clustering is one sparse triangle count. Eigenvector centrality is power
+iteration on the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .graph import ComponentPartition, Graph, connected_components
 
 
 _BLOCK = 64  # sources per sweep block; its working arrays are (n, _BLOCK)
+_EIGEN_TOL = 1e-10  # power iteration stops once no entry moves this much
+_EIGEN_MAX_ITER = 100_000
 
 
 class Sweep(NamedTuple):
@@ -141,22 +143,18 @@ def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | No
     """Exact diameter of the largest component of ``g``, given its
     partition; None when it has fewer than 2 nodes.
 
-    A component of at most _BLOCK nodes fits in one sweep block, which
-    sweeps all its sources in about half the time of iFUB's BFS calls (at
-    N=49), so it is swept whole. A larger one runs iFUB (Crescenzi et al.,
-    TCS 514, 2013) from a double-sweep start (Takes & Kosters, Algorithms
-    4, 2011): BFS from the highest-degree node r (ties: smallest id) finds
-    a farthest node a, BFS from a a farthest node b, and span = d(a, b) is
-    the first lower bound; the start u is the smallest id halfway between a
-    and b. The fringe levels of u's BFS are then swept from the deepest, i,
-    down while lb < 2i: any two nodes at depth <= i are at most 2i apart,
-    and every pair with an end deeper than i has been seen.
+    iFUB (Crescenzi et al., TCS 514, 2013) from a double-sweep start
+    (Takes & Kosters, Algorithms 4, 2011): BFS from the highest-degree node
+    r (ties: smallest id) finds a farthest node a, BFS from a a farthest
+    node b, and span = d(a, b) is the first lower bound; the start u is the
+    smallest id halfway between a and b. The fringe levels of u's BFS are
+    then swept from the deepest, i, down while lb < 2i: any two nodes at
+    depth <= i are at most 2i apart, and every pair with an end deeper than
+    i has been seen.
     """
     largest = parts.largest()
     if len(largest) < 2:
         return None
-    if len(largest) <= _BLOCK:
-        return int(source_sweep(g, largest).eccentricity.max())
     degree = np.diff(g.matrix.indptr)[largest]
     r = largest[int(np.argmax(degree))]
     a = int(np.argmax(_bfs_levels(g, r)))
@@ -178,8 +176,7 @@ def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | No
 
 def diameter(g: Graph) -> int:
     """Longest shortest path; on disconnected graphs, that of the largest
-    component. Exact: iFUB from a double-sweep start on components of more
-    than _BLOCK nodes, a sweep of every source on smaller ones."""
+    component. Exact, by iFUB from a double-sweep start."""
     if g.n < 2:
         raise InputError("diameter needs at least 2 nodes")
     diam = _largest_component_diameter(g, connected_components(g))
@@ -234,11 +231,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     return source_sweep(g, brandes=True).betweenness / 2.0
 
 
-def eigenvector_centrality(
-    g: Graph,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> np.ndarray:
+def eigenvector_centrality(g: Graph) -> np.ndarray:
     """Principal adjacency eigenvector, rescaled so the maximum entry is 1.
 
     Computed on the largest component (other nodes score 0). The iteration
@@ -251,16 +244,16 @@ def eigenvector_centrality(
     largest = parts.largest()
     a = g.matrix if len(largest) == g.n else g.matrix[largest][:, largest]
     v = np.full(len(largest), 1.0 / len(largest))
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _EIGEN_MAX_ITER + 1):
         w = a @ v + v
         w /= np.abs(w).max()
-        if np.abs(w - v).max() < tol:
+        if np.abs(w - v).max() < _EIGEN_TOL:
             v = w
             break
         v = w
     else:
         raise NumericalError(
-            f"power iteration did not converge within {max_iter} iterations"
+            f"power iteration did not converge within {_EIGEN_MAX_ITER} iterations"
         )
     lam = float(v @ (a @ v)) / float(v @ v)
     v = v / v.max()

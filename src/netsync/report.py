@@ -32,26 +32,29 @@ from .powerlaw import PowerLawFit, fit_mle
 from .resilience import (
     EnsembleTrace,
     RandomError,
+    RemovalStrategy,
     ResilienceTrace,
     TargetedAttack,
-    run_error_ensemble,
-    run_resilience,
+    run_removals,
 )
 from .synchronization import SpectralReport, SyncTrajectory, spectral_stability
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("summary", "centralities", "fit", "spectral", "resilience")
+_GENERATOR_KEYS = {
+    "ba": ("model", "n", "m", "m0", "seed"),
+    "er": ("model", "n", "edges", "m", "seed"),
+}
 
 
 @dataclass
 class PipelineConfig:
     edge_list: str | None = None
-    generate: dict[str, Any] | None = None
+    generate: BAParams | ERParams | None = None
     stages: list[str] = field(default_factory=list)
     deterministic: bool = False
-    resilience_strategy: str = "attack"
+    resilience: RemovalStrategy = TargetedAttack()
     resilience_seeds: int = 1
-    resilience_seed: int = 0
     resilience_record_every: float = 0.02
 
     @classmethod
@@ -61,33 +64,18 @@ class PipelineConfig:
             raise InputError(
                 f"config: expected a JSON object, got {type(raw).__name__}"
             )
-        known = {"input", "stages", "deterministic", "resilience"}
-        for key in raw:
-            if key not in known:
-                raise InputError(f"{key}: unknown config field")
+        _known_keys(raw, "", ("input", "stages", "deterministic", "resilience"))
 
         inp = raw.get("input")
         if not isinstance(inp, dict):
             raise InputError("input: required object with 'edge_list' or 'generate'")
+        _known_keys(inp, "input.", ("edge_list", "generate"))
         if ("edge_list" in inp) == ("generate" in inp):
             raise InputError("input: exactly one of 'edge_list' or 'generate'")
         if "edge_list" in inp:
             cfg.edge_list = str(inp["edge_list"])
         else:
-            gen = inp["generate"]
-            if not isinstance(gen, dict) or "model" not in gen:
-                raise InputError("input.generate.model: required ('ba' or 'er')")
-            if gen["model"] not in ("ba", "er"):
-                raise InputError(
-                    f"input.generate.model: expected 'ba' or 'er', got {gen['model']!r}"
-                )
-            # the er model takes its edge count as "edges" or, failing that, "m"
-            er_edges = gen["model"] == "er" and ("edges" in gen or "m" not in gen)
-            for key in ("n", "edges" if er_edges else "m"):
-                _integer(gen, "input.generate", key)
-            _integer(gen, "input.generate", "m0", default=0)
-            _integer(gen, "input.generate", "seed", default=0, minimum=0)
-            cfg.generate = dict(gen)
+            cfg.generate = _generator_params(inp["generate"])
 
         stages = raw.get("stages", "all")
         if stages == "all":
@@ -108,14 +96,15 @@ class PipelineConfig:
         res = raw.get("resilience", {})
         if not isinstance(res, dict):
             raise InputError("resilience: expected an object")
-        cfg.resilience_strategy = res.get("strategy", "attack")
-        if cfg.resilience_strategy not in ("attack", "error"):
+        _known_keys(res, "resilience.", ("strategy", "seeds", "seed", "record_every"))
+        strategy = res.get("strategy", "attack")
+        if strategy not in ("attack", "error"):
             raise InputError(
-                f"resilience.strategy: expected 'attack' or 'error', "
-                f"got {cfg.resilience_strategy!r}"
+                f"resilience.strategy: expected 'attack' or 'error', got {strategy!r}"
             )
         cfg.resilience_seeds = _integer(res, "resilience", "seeds", 1, minimum=1)
-        cfg.resilience_seed = _integer(res, "resilience", "seed", 0, minimum=0)
+        seed = _integer(res, "resilience", "seed", 0, minimum=0)
+        cfg.resilience = TargetedAttack() if strategy == "attack" else RandomError(seed)
         every = res.get("record_every", 0.02)
         if isinstance(every, bool) or not isinstance(every, (int, float)):
             raise InputError(f"resilience.record_every: expected a number, got {every!r}")
@@ -123,6 +112,34 @@ class PipelineConfig:
             raise InputError(f"resilience.record_every: must be in (0, 1], got {every}")
         cfg.resilience_record_every = float(every)
         return cfg
+
+
+def _known_keys(obj: dict[str, Any], prefix: str, keys: Sequence[str]) -> None:
+    """Reject a key of ``obj`` that nothing reads, named ``<prefix><key>``."""
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"{prefix}{key}: unknown config field")
+
+
+def _generator_params(gen: Any) -> BAParams | ERParams:
+    """``input.generate`` as a generator request, seed 0 by default. ER
+    takes its edge count as "edges" or as "m", never both."""
+    path = "input.generate"
+    if not isinstance(gen, dict) or "model" not in gen:
+        raise InputError(f"{path}.model: required ('ba' or 'er')")
+    model = gen["model"]
+    if model not in _GENERATOR_KEYS:
+        raise InputError(f"{path}.model: expected 'ba' or 'er', got {model!r}")
+    _known_keys(gen, f"{path}.", _GENERATOR_KEYS[model])
+    if "edges" in gen and "m" in gen:
+        raise InputError(f"{path}.m: the edge count is given as 'edges' already")
+    n = _integer(gen, path, "n")
+    if model == "er":
+        edges = _integer(gen, path, "m" if "m" in gen else "edges")
+        return ERParams(n=n, m=edges, seed=_integer(gen, path, "seed", 0, minimum=0))
+    m = _integer(gen, path, "m")
+    m0 = _integer(gen, path, "m0") if "m0" in gen else None
+    return BAParams(n=n, m=m, m0=m0, seed=_integer(gen, path, "seed", 0, minimum=0))
 
 
 def _integer(obj: dict[str, Any], path: str, key: str, default=None, minimum=None) -> int:
@@ -158,15 +175,10 @@ def _resolve_graph(cfg: PipelineConfig) -> tuple[Graph, dict[str, Any]]:
             "duplicates_collapsed": result.duplicate_count,
         }
         return result.graph, descriptor
-    gen, model = cfg.generate, cfg.generate["model"]
-    seed = gen.get("seed", 0)
-    if model == "ba":
-        graph = generate_ba(BAParams(n=gen["n"], m=gen["m"], m0=gen.get("m0"), seed=seed))
-    else:
-        edges = gen["edges"] if "edges" in gen else gen["m"]
-        graph = generate_er(ERParams(n=gen["n"], m=edges, seed=seed))
-    descriptor = {"generator": {"model": model, "seed": seed, "n": graph.n, "m": graph.m}}
-    return graph, descriptor
+    model = "ba" if isinstance(cfg.generate, BAParams) else "er"
+    graph = (generate_ba if model == "ba" else generate_er)(cfg.generate)
+    descriptor = {"model": model, "seed": cfg.generate.seed, "n": graph.n, "m": graph.m}
+    return graph, {"generator": descriptor}
 
 
 def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
@@ -206,21 +218,9 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             elif stage == "spectral":
                 report.spectral = spectral_stability(graph)
             elif stage == "resilience":
-                if cfg.resilience_strategy == "attack":
-                    report.resilience = run_resilience(
-                        graph, TargetedAttack(), cfg.resilience_record_every
-                    )
-                elif cfg.resilience_seeds == 1:
-                    report.resilience = run_resilience(
-                        graph,
-                        RandomError(seed=cfg.resilience_seed),
-                        cfg.resilience_record_every,
-                    )
-                else:
-                    seeds = range(cfg.resilience_seed, cfg.resilience_seed + cfg.resilience_seeds)
-                    report.resilience = run_error_ensemble(
-                        graph, seeds, cfg.resilience_record_every
-                    )
+                report.resilience = run_removals(
+                    graph, cfg.resilience, cfg.resilience_seeds, cfg.resilience_record_every
+                )
         except ToolkitError as exc:
             report.errors[stage] = str(exc)
     return report

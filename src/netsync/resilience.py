@@ -9,12 +9,11 @@ fragmentation, the diameter reported is that of the largest remaining
 component, and 0 once that component is a single node. Every row is exact
 and computed in one of two ways, chosen by the input's size n0:
 
-- n0 <= 64 (one sweep block): every row comes from one n0 x n0 distance
-  matrix, filled by putting the removed nodes back in reverse order, with
-  no subgraph, components pass or sweep per row.
+- n0 <= 64: every row comes from one n0 x n0 distance matrix, filled by
+  putting the removed nodes back in reverse order, with no subgraph,
+  components pass or sweep per row.
 - n0 > 64: each recorded row builds the survivors' graph, partitions it,
-  and measures its largest component: a sweep of every source when that
-  component has at most 64 nodes, iFUB from a double-sweep start otherwise
+  and measures its largest component by iFUB from a double-sweep start
   (``metrics._largest_component_diameter``).
 """
 
@@ -28,7 +27,12 @@ import numpy as np
 from .errors import InputError, check_memory
 from .generators import rng_from_seed
 from .graph import Graph, connected_components, induced_subgraph
-from .metrics import _BLOCK, _largest_component_diameter
+from .metrics import _largest_component_diameter
+
+# Largest input whose rows all come from one distance matrix (cost ~ n0^3).
+# On BA(n0, 3) that breaks even with per-row snapshots at about n0=400; no
+# workload lies between 64 and 400 nodes to measure a higher bound.
+_INSERTION_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -191,18 +195,14 @@ def run_resilience(
     (fraction removed, diameter, largest-component size, component count)
     at the requested granularity.
 
-    The removal order is drawn first. A graph of at most _BLOCK (64) nodes
-    then builds every row from one distance matrix by putting the removed
-    nodes back in reverse order (``_rows_by_insertion``); a larger one
-    builds and measures each recorded row's subgraph. The insertion's cost
-    grows with n0^3 whatever the number of rows. Measured on BA(n0, 3),
-    record_every 0.02, attack and error, it builds the rows in 20 against
-    47-52 ms at n0=256, breaks even at n0=400 (69-72 ms each) and takes
-    148-165 against 83-91 ms at n0=512.
+    The removal order is drawn first. A graph of at most _INSERTION_MAX_N
+    (64) nodes then builds every row from one distance matrix by putting
+    the removed nodes back in reverse order (``_rows_by_insertion``); a
+    larger one builds and measures each recorded row's subgraph.
     """
     recorded = _recorded(g.n, record_every)
     order = _removal_order(g, strategy)
-    build = _rows_by_insertion if g.n <= _BLOCK else _rows_by_snapshot
+    build = _rows_by_insertion if g.n <= _INSERTION_MAX_N else _rows_by_snapshot
     attack = isinstance(strategy, TargetedAttack)
     return ResilienceTrace(
         strategy="attack" if attack else "error",
@@ -263,3 +263,14 @@ def run_error_ensemble(
             stats += [float(median[i, q]), int(low[i, q]), int(high[i, q])]
         rows.append(EnsembleRow(k / g.n, *stats))
     return EnsembleTrace(seeds=seeds, initial_n=g.n, rows=rows)
+
+
+def run_removals(
+    g: Graph, strategy: RemovalStrategy, seeds: int, record_every: float
+) -> ResilienceTrace | EnsembleTrace:
+    """The removal sweep a run asks for: one trace for an attack or for an
+    error run with one seed, otherwise the error ensemble over the ``seeds``
+    consecutive seeds from ``strategy.seed``."""
+    if isinstance(strategy, TargetedAttack) or seeds == 1:
+        return run_resilience(g, strategy, record_every)
+    return run_error_ensemble(g, range(strategy.seed, strategy.seed + seeds), record_every)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -88,6 +89,31 @@ def test_resilience_error_ensemble_csv(ba_file, tmp_path):
         "fraction_removed,diameter_median,diameter_min,diameter_max,"
         "lcc_median,lcc_min,lcc_max,components_median,components_min,components_max"
     )
+
+
+@pytest.mark.parametrize(
+    "resilience",
+    [{"strategy": "attack"},
+     {"strategy": "error", "seed": 2},
+     {"strategy": "error", "seed": 2, "seeds": 3}],
+)
+def test_resilience_rows_equal_pipeline_rows(ba_file, tmp_path, resilience):
+    # the CLI and the pipeline reach the same removal sweep for one request
+    every = 0.1
+    argv = ["resilience", "--edge-list", str(ba_file), "--strategy", resilience["strategy"],
+            "--seed", str(resilience.get("seed", 0)), "--seeds", str(resilience.get("seeds", 1)),
+            "--record-every", str(every), "--out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"edge_list": str(ba_file)},
+                                  "stages": ["resilience"],
+                                  "resilience": dict(resilience, record_every=every)}))
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        cli_rows = list(csv.DictReader(fh))
+    assert cli_rows == [{k: str(v) for k, v in row.items()}
+                        for row in report["resilience"]["rows"]]
 
 
 def test_sync_spectral_only(ba_file, tmp_path):
@@ -364,6 +390,8 @@ class TestPipelineConfigErrors:
             ({"record_every": -0.1}, "resilience.record_every"),
             ({"record_every": "often"}, "resilience.record_every"),
             ({"strategy": "error", "seed": -1}, "resilience.seed"),
+            ({"strategy": "error", "sedes": 10}, "resilience.sedes"),
+            ({"strategy": "attack", "edges": 10}, "resilience.edges"),
         ],
     )
     def test_bad_resilience_field(self, tmp_path, capsys, resilience, field):
@@ -382,12 +410,21 @@ class TestPipelineConfigErrors:
             ({"model": "er", "n": 20, "edges": 40, "seed": 1.5}, "input.generate.seed"),
             ({"model": "er", "n": 20, "edges": 40, "seed": False}, "input.generate.seed"),
             ({"model": "er", "n": 20, "edges": 40, "seed": -1}, "input.generate.seed"),
+            ({"model": "er", "n": 20, "edges": 40, "sede": 3}, "input.generate.sede"),
+            ({"model": "er", "n": 20, "edges": 40, "m": 40}, "input.generate.m"),
+            ({"model": "er", "n": 20, "m": 40, "m0": 3}, "input.generate.m0"),
+            ({"model": "ba", "n": 20, "m": 2, "edges": 40}, "input.generate.edges"),
         ],
     )
     def test_bad_generator_field(self, tmp_path, capsys, generate, field):
         cfg = dict(self.GOOD, input={"generate": generate})
         code, err = self.run(tmp_path, capsys, json.dumps(cfg))
         assert code == 2 and f"{field}:" in err
+
+    def test_unknown_input_field(self, tmp_path, capsys):
+        cfg = dict(self.GOOD, input={**self.GOOD["input"], "edgelist": "g.edges"})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and "input.edgelist: unknown config field" in err
 
     def test_generated_graph_too_large_for_memory(self, tmp_path, capsys):
         cfg = dict(self.GOOD, input={"generate": {"model": "ba", "n": 10**12, "m": 3}})

@@ -13,6 +13,7 @@ from netsync.resilience import (
     RandomError,
     TargetedAttack,
     run_error_ensemble,
+    run_removals,
     run_resilience,
 )
 
@@ -137,6 +138,19 @@ def test_ensemble_rows_must_fit_in_memory():
     # 10**12 runs of 5 rows: 1.2e14 bytes of rows, refused before any run
     with pytest.raises(InputError, match=rf"of {10**12} error runs need 1\.2e\+14 bytes"):
         run_error_ensemble(complete(5), range(10**12), record_every=0.2)
+
+
+def test_removals_run_one_trace_or_an_ensemble():
+    g = generate_ba(BAParams(n=40, m=2, seed=3))
+    for seeds in (1, 4):
+        assert run_removals(g, TargetedAttack(), seeds, 0.1) == run_resilience(
+            g, TargetedAttack(), 0.1
+        )
+    assert run_removals(g, RandomError(5), 1, 0.1) == run_resilience(g, RandomError(5), 0.1)
+    for k in (2, 3):
+        assert run_removals(g, RandomError(5), k, 0.1) == run_error_ensemble(
+            g, range(5, 5 + k), 0.1
+        )
 
 
 # -- differential tests against networkx ------------------------------------------
