@@ -13,10 +13,14 @@ and run every stage with a one-seed error run (seed 2): ER(49, 351, seed 3)
 with its edge count as ``edges`` and as the alias ``m``, and BA(49, m=8,
 seed 5) with the default core and with ``m0`` 10. On a square grid, whose
 edge list the script writes itself, ``resilience`` runs under attack and
-error with seed 3: a long-diameter input unlike the random graphs. The grid
-is 30x30 at the default ``--n`` and isqrt(n) wide below 900 nodes, but
-never under 9x9, so it stays above the 64 nodes up to which a sweep's rows
-come from one distance matrix. The four edge lists are hashed too.
+error with seed 3, and under attack again with ``--record-every 0.005``: a
+long-diameter input unlike the random graphs, and at least 81 recorded
+rows, so their diameters take more than one batch of 64 rows. The grid is
+30x30 at the default ``--n`` and isqrt(n) wide below 900 nodes, but never
+under 9x9, so it stays above the 64 nodes up to which a sweep's rows come
+from one distance matrix. A summary-only pipeline on the grid and on the
+``--n`` BA graph reads the forward sweep that runs without Brandes' pass.
+The four edge lists are hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
@@ -83,6 +87,7 @@ def commands(n: int) -> list[list[str]]:
     argvs += [
         [*grid, "attack", "--out", "grid.attack.csv"],
         [*grid, "error", "--seed", "3", "--out", "grid.error.csv"],
+        [*grid, "attack", "--record-every", "0.005", "--out", "grid.attack_fine.csv"],
     ]
     return argvs
 
@@ -107,6 +112,11 @@ def pipeline_configs() -> dict[str, dict]:
         for name in ("er49", "ba49")
         for kind, res in resilience.items()
     }
+    for name in ("grid", "ba_large"):
+        configs[f"{name}.pipeline_summary"] = {
+            "input": {"edge_list": f"{name}.edges"},
+            "stages": ["summary"],
+        }
     for name, spec in GENERATED.items():
         configs[f"{name}.pipeline_error"] = {
             "input": {"generate": spec},

@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--edge-list", required=True)
     p_res.add_argument("--strategy", choices=["error", "attack"], required=True)
     p_res.add_argument("--seeds", type=int, default=1, help="ensemble size for error runs")
+    p_res.add_argument("--seed", type=int, default=None, help="first error seed (default 0)")
     p_res.add_argument("--record-every", type=float, default=0.02)
 
     p_sync = sub.add_parser("sync", help="spectral stability / coupled simulation")
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # each subcommand takes only the options it reads
-    for p in (p_ba, p_er, p_fit, p_res, p_sync):
+    for p in (p_ba, p_er, p_fit, p_sync):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
     for p in (p_ba, p_er, p_an, p_fit, p_res, p_sync, p_val, p_pipe):
         p.add_argument("--out", help="output path (default: stdout)")
@@ -129,7 +130,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
         _emit(rows_csv(node_stats(g), columns), args.out)
         return 0
-    sweep = source_sweep(g, brandes=True)
+    sweep = source_sweep(g)
     payload = {
         "summary": summarize(g, sweep),
         "node_stats": node_stats(g, sweep),
@@ -162,8 +163,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_resilience(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise InputError(f"--seeds: must be >= 1, got {args.seeds}")
+    if args.strategy == "attack" and (args.seeds != 1 or args.seed is not None):
+        named = "--seeds" if args.seeds != 1 else "--seed"
+        raise InputError(f"{named}: an attack is deterministic and takes no seed setting")
     result = ingest_edge_list(args.edge_list)
-    strategy = TargetedAttack() if args.strategy == "attack" else RandomError(args.seed)
+    strategy = TargetedAttack() if args.strategy == "attack" else RandomError(args.seed or 0)
     trace = run_removals(result.graph, strategy, args.seeds, args.record_every)
     _emit(rows_csv(trace.rows), args.out)
     return 0

@@ -1,12 +1,12 @@
 """Topology metrics and node centralities.
 
-All functions are pure reads of an immutable graph. Path length, diameter,
-closeness and betweenness come from one sweep (``source_sweep``) that runs
-the BFS from a block of sources at once by sparse matrix products, with
-Brandes' accumulation run backwards over the same levels and reduced in a
-fixed block order; ``summarize`` and ``node_stats`` can share one sweep.
-``diameter`` alone needs no sweep of every source: iFUB from a double-sweep
-start runs a few BFS on most graphs, small components included. Local
+All functions are pure reads of an immutable graph. Betweenness and
+closeness come from one Brandes sweep (``source_sweep``) by sparse matrix
+products, reduced in a fixed block order, which ``summarize`` and
+``node_stats`` can share. Every other BFS runs 64 to a machine word on one
+bit-parallel kernel: path lengths without a shared sweep, and iFUB from a
+double-sweep start, which measures ``diameter`` and a stack of resilience
+rows, each a node mask of one graph, with a few BFS on most graphs. Local
 clustering is one sparse triangle count. Eigenvector centrality is power
 iteration on the adjacency matrix of the largest component.
 """
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, NumericalError
-from .graph import ComponentPartition, Graph, connected_components
+from .graph import Graph, connected_components
 
 
 # -- distances ---------------------------------------------------------------
@@ -32,9 +32,9 @@ _EIGEN_MAX_ITER = 100_000
 
 
 class Sweep(NamedTuple):
-    """Per source: distance sum, nodes reached besides itself, and
-    eccentricity; per node, twice its betweenness when Brandes' pass ran
-    (None otherwise)."""
+    """Per node, over a BFS from every node: distance sum, nodes reached
+    besides itself, and eccentricity; twice its betweenness when Brandes'
+    pass ran (None otherwise)."""
 
     dist_sums: np.ndarray
     reached: np.ndarray
@@ -42,27 +42,98 @@ class Sweep(NamedTuple):
     betweenness: np.ndarray | None
 
 
-def source_sweep(
-    g: Graph, sources: Sequence[int] | None = None, brandes: bool = False
-) -> Sweep:
-    """Level-synchronous BFS from ``sources`` (default: every node), _BLOCK
-    of them at a time.
+_WORD = np.dtype("<u8")  # one bit per BFS task; little-endian, so its bytes unpack in task order
+_TASK_BIT = np.left_shift(1, np.arange(_BLOCK, dtype=np.uint64), dtype=_WORD)
+
+
+def _bit_levels(
+    g: Graph, sources: np.ndarray, mask: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Up to 64 BFS tasks, one bit each in a word per node (Then et al.,
+    PVLDB 8(4), 449, 2014). Task t starts at ``sources[t]`` (a node may
+    start several) and enters only nodes whose ``mask`` word has bit t set.
+    Yields, per depth from 1, the words of the nodes first reached there.
+    A level ORs each node's neighbour words by one ``reduceat`` over the
+    nodes of nonzero degree, whose segments are never empty."""
+    a = g.matrix
+    linked = np.flatnonzero(np.diff(a.indptr))  # none: one empty reduceat, no level
+    starts = a.indptr[linked]
+    frontier = np.zeros(g.n, dtype=_WORD)
+    np.bitwise_or.at(frontier, sources, _TASK_BIT[: len(sources)])
+    unseen = ~frontier if mask is None else mask & ~frontier
+    while True:
+        new = np.zeros(g.n, dtype=_WORD)
+        new[linked] = np.bitwise_or.reduceat(frontier.take(a.indices), starts)
+        new &= unseen
+        if not new.any():
+            return
+        unseen ^= new
+        yield new
+        frontier = new
+
+
+def _bfs(
+    g: Graph, sources: np.ndarray, members: np.ndarray, rows: np.ndarray, levels: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eccentricity of each task t, a BFS from ``sources[t]`` that enters
+    only the nodes of row ``rows[t]`` of the (rows, n) bool ``members``,
+    _BLOCK tasks per ``_bit_levels`` run. With ``levels``, also the
+    (tasks, n) int32 depths, -1 where unreached."""
+    ecc = np.zeros(len(sources), dtype=np.int64)
+    level = np.full((len(sources), g.n), -1, dtype=np.int32) if levels else None
+    for lo in range(0, len(sources), _BLOCK):
+        block = sources[lo : lo + _BLOCK]
+        tasks = np.arange(lo, lo + len(block))
+        bits = np.zeros((g.n, _BLOCK), dtype=bool)
+        bits[:, : len(block)] = members[rows[tasks]].T
+        mask = np.packbits(bits, axis=1, bitorder="little").view(_WORD).ravel()
+        if level is not None:
+            level[tasks, block] = 0
+        for depth, new in enumerate(_bit_levels(g, block, mask), start=1):
+            # bit t of a word unpacks to position t of its 64 bits
+            reach = np.bitwise_or.reduce(new, keepdims=True).view(np.uint8)
+            ecc[lo + np.flatnonzero(np.unpackbits(reach, bitorder="little"))] = depth
+            if level is not None:
+                nodes = np.flatnonzero(new)
+                words = new[nodes].view(np.uint8).reshape(-1, 8)
+                at, task = np.nonzero(np.unpackbits(words, axis=1, bitorder="little"))
+                level[lo + task, nodes[at]] = depth
+    return ecc, level
+
+
+def _forward_sweep(g: Graph) -> Sweep:
+    """BFS from every node, _BLOCK per ``_bit_levels`` run. As d(s, v) =
+    d(v, s), the bits that first reach v at depth d count the nodes d away
+    from v: v's own distance sum, reached count and eccentricity."""
+    sums, reached, ecc = np.zeros((3, g.n), dtype=np.int64)
+    for lo in range(0, g.n, _BLOCK):
+        block = np.arange(lo, min(lo + _BLOCK, g.n))
+        for depth, new in enumerate(_bit_levels(g, block), start=1):
+            counts = np.bitwise_count(new).astype(np.int64)
+            sums += depth * counts
+            reached += counts
+            np.maximum(ecc, depth * (counts > 0), out=ecc)
+    return Sweep(sums, reached, ecc, None)
+
+
+def source_sweep(g: Graph) -> Sweep:
+    """Level-synchronous BFS from every node, _BLOCK of them at a time,
+    with Brandes' accumulation.
 
     Column j of a block's frontier holds the shortest-path counts sigma of
     the nodes at the current depth from source j; ``A @ frontier`` advances
     every column one level. Per source: exact int64 distance sums, nodes
-    reached besides the source, and eccentricity. With ``brandes``, each
-    block runs Brandes' backward pass level by level from the deepest,
+    reached besides the source, and eccentricity. Each block then runs
+    Brandes' backward pass level by level from the deepest,
     delta += [level == k-1] * sigma * (A @ ([level == k] * (1 + delta) / sigma)),
     and its per-node dependencies are added to the total in block order.
     Raises NumericalError at the first block whose path counts overflow.
     """
-    src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
-    sums, reached, ecc = np.zeros((3, len(src)), dtype=np.int64)
-    between = np.zeros(g.n) if brandes else None
+    sums, reached, ecc = np.zeros((3, g.n), dtype=np.int64)
+    between = np.zeros(g.n)
     a = g.matrix
-    for lo in range(0, len(src), _BLOCK):
-        block = src[lo : lo + _BLOCK]
+    for lo in range(0, g.n, _BLOCK):
+        block = np.arange(lo, min(lo + _BLOCK, g.n))
         part = slice(lo, lo + len(block))
         level = np.full((g.n, len(block)), -1, dtype=np.int32)
         level[block, np.arange(len(block))] = 0
@@ -81,18 +152,16 @@ def source_sweep(
                 sums[part] += depth * counts
                 reached[part] += counts
                 ecc[part][counts > 0] = depth
-                frontier = paths * new if brandes else new.astype(np.float64)
-                if brandes:
-                    sigma += frontier
-        if brandes:
-            if not np.isfinite(sigma).all():
-                raise NumericalError("shortest-path counts overflow float64")
-            sigma[level < 0] = 1.0  # unreached: never read, kept off zero
-            delta = np.zeros_like(sigma)
-            for k in range(depth, 1, -1):
-                coeff = (1.0 + delta) / sigma * (level == k)
-                delta += sigma * (a @ coeff) * (level == k - 1)
-            between += delta.sum(axis=1)
+                frontier = paths * new
+                sigma += frontier
+        if not np.isfinite(sigma).all():
+            raise NumericalError("shortest-path counts overflow float64")
+        sigma[level < 0] = 1.0  # unreached: never read, kept off zero
+        delta = np.zeros_like(sigma)
+        for k in range(depth, 1, -1):
+            coeff = (1.0 + delta) / sigma * (level == k)
+            delta += sigma * (a @ coeff) * (level == k - 1)
+        between += delta.sum(axis=1)
     return Sweep(sums, reached, ecc, between)
 
 
@@ -121,70 +190,51 @@ def _path_length_stats(n: int, sweep: Sweep) -> PathLengthStats:
 def average_path_length(g: Graph) -> PathLengthStats:
     """Mean distance over unordered reachable pairs, with the fraction of
     pairs that are unreachable reported alongside."""
-    return _path_length_stats(g.n, source_sweep(g))
+    return _path_length_stats(g.n, _forward_sweep(g))
 
 
-def _bfs_levels(g: Graph, source: int) -> np.ndarray:
-    """BFS depth of every node from ``source``; -1 where unreached."""
-    level = np.full(g.n, -1, dtype=np.int64)
-    level[source] = 0
-    frontier = (level == 0).astype(np.float64)
-    depth = 0
-    while True:
-        new = (g.matrix @ frontier > 0) & (level < 0)
-        if not new.any():
-            return level
-        depth += 1
-        level[new] = depth
-        frontier = new.astype(np.float64)
-
-
-def _largest_component_diameter(g: Graph, parts: ComponentPartition) -> int | None:
-    """Exact diameter of the largest component of ``g``, given its
-    partition; None when it has fewer than 2 nodes.
+def _largest_component_diameter(g: Graph, members: np.ndarray) -> np.ndarray:
+    """Exact diameter of each row of the (rows, n) bool ``members``, a
+    connected component of ``g`` less some nodes; 0 for a single node.
 
     iFUB (Crescenzi et al., TCS 514, 2013) from a double-sweep start
-    (Takes & Kosters, Algorithms 4, 2011): BFS from the highest-degree node
-    r (ties: smallest id) finds a farthest node a, BFS from a a farthest
-    node b, and span = d(a, b) is the first lower bound; the start u is the
-    smallest id halfway between a and b. The fringe levels of u's BFS are
-    then swept from the deepest, i, down while lb < 2i: any two nodes at
-    depth <= i are at most 2i apart, and every pair with an end deeper than
-    i has been seen.
+    (Takes & Kosters, Algorithms 4, 2011), all rows at once: BFS from the
+    highest-degree node r (ties: smallest id) finds a farthest node a, BFS
+    from a a farthest node b, and span = d(a, b) is the first lower bound;
+    the start u is the smallest id halfway between a and b. The fringe
+    levels of u's BFS are then swept from the deepest, i, down while
+    lb < 2i: any two nodes at depth <= i are at most 2i apart, and every
+    pair with an end deeper than i has been seen.
     """
-    largest = parts.largest()
-    if len(largest) < 2:
-        return None
-    degree = np.diff(g.matrix.indptr)[largest]
-    r = largest[int(np.argmax(degree))]
-    a = int(np.argmax(_bfs_levels(g, r)))
-    from_a = _bfs_levels(g, a)
-    b = int(np.argmax(from_a))
-    span = int(from_a[b])
+    rows = np.arange(len(members))
+    degree = np.where(members, (g.matrix @ members.T).T, -1)
+    _, from_r = _bfs(g, np.argmax(degree, axis=1), members, rows, levels=True)
+    _, from_a = _bfs(g, np.argmax(from_r, axis=1), members, rows, levels=True)
+    b = np.argmax(from_a, axis=1)
+    span = from_a[rows, b].astype(np.int64)
     half = span // 2
-    from_b = _bfs_levels(g, b)
-    u = int(np.flatnonzero((from_a == half) & (from_b == span - half))[0])
-    from_u = _bfs_levels(g, u)
-    depth = int(from_u.max())
-    lb = max(span, depth)
-    while lb < 2 * depth:
-        fringe = np.flatnonzero(from_u == depth)
-        lb = max(lb, int(source_sweep(g, fringe).eccentricity.max()))
-        depth -= 1
+    _, from_b = _bfs(g, b, members, rows, levels=True)
+    halfway = (from_a == half[:, None]) & (from_b == (span - half)[:, None])
+    _, from_u = _bfs(g, np.argmax(halfway, axis=1), members, rows, levels=True)
+    depth = from_u.max(axis=1).astype(np.int64)
+    lb = np.maximum(span, depth)
+    while (open_ := lb < 2 * depth).any():
+        row, fringe = np.nonzero((from_u == depth[:, None]) & open_[:, None])
+        np.maximum.at(lb, row, _bfs(g, fringe, members, row)[0])
+        depth -= open_
     return lb
 
 
 def diameter(g: Graph) -> int:
     """Longest shortest path; on disconnected graphs, that of the largest
-    component. Exact, by iFUB from a double-sweep start."""
+    component. Exact, by iFUB from a double-sweep start on the largest
+    component's row (``_largest_component_diameter``)."""
     if g.n < 2:
         raise InputError("diameter needs at least 2 nodes")
-    diam = _largest_component_diameter(g, connected_components(g))
-    if diam is None:
-        raise DegenerateInputError(
-            "largest component is a single node; diameter undefined"
-        )
-    return diam
+    largest = connected_components(g).largest()
+    if len(largest) < 2:
+        raise DegenerateInputError("largest component is a single node; diameter undefined")
+    return int(_largest_component_diameter(g, np.isin(np.arange(g.n), largest)[None])[0])
 
 
 # -- clustering and degrees ---------------------------------------------------
@@ -228,7 +278,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     Per-source dependencies are reduced in a fixed block order.
     """
     # each unordered pair was seen from both endpoints
-    return source_sweep(g, brandes=True).betweenness / 2.0
+    return source_sweep(g).betweenness / 2.0
 
 
 def eigenvector_centrality(g: Graph) -> np.ndarray:
@@ -304,7 +354,7 @@ def summarize(g: Graph, sweep: Sweep | None = None) -> GraphSummary:
     lengths and the diameter."""
     parts = connected_components(g)
     if sweep is None:
-        sweep = source_sweep(g)
+        sweep = _forward_sweep(g)
     apl = frac = None
     clust = global_clustering(g) if g.n >= 1 else None
     try:
@@ -332,7 +382,7 @@ def node_stats(g: Graph, sweep: Sweep | None = None) -> list[NodeStats]:
     eigenvector centrality. Closeness and betweenness come from one sweep
     of every source with Brandes' pass (``sweep``, or one run here)."""
     if sweep is None:
-        sweep = source_sweep(g, brandes=True)
+        sweep = source_sweep(g)
     sums = sweep.dist_sums
     closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
     betweenness = sweep.betweenness / 2.0

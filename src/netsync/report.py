@@ -104,6 +104,9 @@ class PipelineConfig:
             )
         cfg.resilience_seeds = _integer(res, "resilience", "seeds", 1, minimum=1)
         seed = _integer(res, "resilience", "seed", 0, minimum=0)
+        seeded = [f"resilience.{key}" for key in ("seeds", "seed") if key in res]
+        if strategy == "attack" and seeded:
+            raise InputError(f"{seeded[0]}: an attack is deterministic and takes no seed setting")
         cfg.resilience = TargetedAttack() if strategy == "attack" else RandomError(seed)
         every = res.get("record_every", 0.02)
         if isinstance(every, bool) or not isinstance(every, (int, float)):
@@ -195,17 +198,15 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         provenance["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = AnalysisReport(provenance=provenance)
 
-    # one sweep serves summary and centralities, with Brandes' pass only when
-    # centralities are asked for; its overflow costs only that stage, and the
-    # summary then reads a forward-only sweep
+    # one Brandes sweep serves summary and centralities when centralities are
+    # asked for; its overflow costs only that stage, and the summary then
+    # runs its own forward sweep
     sweep = None
     if "centralities" in cfg.stages:
         try:
-            sweep = source_sweep(graph, brandes=True)
+            sweep = source_sweep(graph)
         except NumericalError as exc:
             report.errors["centralities"] = str(exc)
-    if sweep is None and "summary" in cfg.stages:
-        sweep = source_sweep(graph)
 
     for stage in cfg.stages:
         try:

@@ -12,9 +12,9 @@ and computed in one of two ways, chosen by the input's size n0:
 - n0 <= 64: every row comes from one n0 x n0 distance matrix, filled by
   putting the removed nodes back in reverse order, with no subgraph,
   components pass or sweep per row.
-- n0 > 64: each recorded row builds the survivors' graph, partitions it,
-  and measures its largest component by iFUB from a double-sweep start
-  (``metrics._largest_component_diameter``).
+- n0 > 64: one union-find pass over the same order gives every row's
+  components, and iFUB measures their largest, 64 rows of node masks of
+  the input at a time (``metrics._largest_component_diameter``).
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ import numpy as np
 
 from .errors import InputError, check_memory
 from .generators import rng_from_seed
-from .graph import Graph, connected_components, induced_subgraph
-from .metrics import _largest_component_diameter
+from .graph import Graph
+from .metrics import _BLOCK, _largest_component_diameter
 
 # Largest input whose rows all come from one distance matrix (cost ~ n0^3).
-# On BA(n0, 3) that breaks even with per-row snapshots at about n0=400; no
-# workload lies between 64 and 400 nodes to measure a higher bound.
+# On BA(n0, 3), attack and error at record_every 0.02, that costs less than
+# the union-find rows up to n0=120 (4.9-5.9 against 6.8-7.3 ms per run) and
+# more from n0=200 (12.6-13.0 against 9.5-9.8 ms); no workload lies between
+# 64 and 200 nodes to measure a higher bound.
 _INSERTION_MAX_N = 64
 
 
@@ -110,26 +112,48 @@ def _recorded(n0: int, record_every: float) -> list[int]:
     return [k for k in range(n0) if k % stride == 0 or k == n0 - 1]
 
 
-def _snapshot(fraction: float, g: Graph) -> TraceRow:
-    parts = connected_components(g)
-    diam = _largest_component_diameter(g, parts)
-    return TraceRow(
-        fraction_removed=fraction,
-        diameter=0 if diam is None else diam,
-        lcc_size=max(parts.sizes),
-        components=parts.count,
-    )
+def _rows_by_union(g: Graph, order: list[int], recorded: list[int]) -> list[TraceRow]:
+    """Every row from one pass that puts the removed nodes back in reverse
+    order, joined by union-find (Newman & Ziff, PRL 85, 4104, 2000). The
+    smaller root wins a union, so a root is its component's smallest id and
+    the largest component with the smallest root is measured, as
+    ``ComponentPartition.largest`` does: 64 rows per call of
+    ``metrics._largest_component_diameter``, with no subgraph built."""
+    n0 = g.n
+    indptr, indices = g.matrix.indptr.tolist(), g.matrix.indices.tolist()
+    parent = list(range(n0))
+    present = [False] * n0
 
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-def _rows_by_snapshot(g: Graph, order: list[int], recorded: list[int]) -> list[TraceRow]:
-    """Each row from the survivors' graph, built and measured anew."""
-    alive = np.ones(g.n, dtype=bool)
-    rows = []
-    for k in recorded:
-        alive[order[:k]] = False
-        sub = g if k == 0 else induced_subgraph(g, np.flatnonzero(alive))
-        rows.append(_snapshot(k / g.n, sub))
-    return rows
+    wanted = set(recorded)
+    sizes, counts, members = [], [], []
+    # the one node never removed, then the removed ones in reverse order
+    returns = [n0 * (n0 - 1) // 2 - sum(order), *reversed(order)]
+    for k, v in zip(range(n0 - 1, -1, -1), returns):
+        # after this step, the present nodes are those left after k removals
+        present[v] = True
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if present[w]:
+                rv, rw = find(v), find(w)
+                parent[max(rv, rw)] = min(rv, rw)
+        if k in wanted:
+            alive = np.array(present)
+            root = np.array(parent)
+            while (root[root] != root).any():
+                root = root[root]
+            size = np.bincount(root[alive], minlength=n0)
+            sizes.append(int(size.max()))
+            counts.append(int(np.count_nonzero(size)))
+            members.append(alive & (root == np.argmax(size)))
+    diameters = []
+    for lo in range(0, len(members), _BLOCK):
+        diameters += _largest_component_diameter(g, np.stack(members[lo : lo + _BLOCK])).tolist()
+    rows = zip(reversed(recorded), diameters, sizes, counts)
+    return [TraceRow(k / n0, diam, size, count) for k, diam, size, count in rows][::-1]
 
 
 _UNREACHED = 1 << 20  # distance sentinel; sums of two stay within int32
@@ -198,11 +222,12 @@ def run_resilience(
     The removal order is drawn first. A graph of at most _INSERTION_MAX_N
     (64) nodes then builds every row from one distance matrix by putting
     the removed nodes back in reverse order (``_rows_by_insertion``); a
-    larger one builds and measures each recorded row's subgraph.
+    larger one puts them back by union-find and measures the recorded
+    rows' largest components together (``_rows_by_union``).
     """
     recorded = _recorded(g.n, record_every)
     order = _removal_order(g, strategy)
-    build = _rows_by_insertion if g.n <= _INSERTION_MAX_N else _rows_by_snapshot
+    build = _rows_by_insertion if g.n <= _INSERTION_MAX_N else _rows_by_union
     attack = isinstance(strategy, TargetedAttack)
     return ResilienceTrace(
         strategy="attack" if attack else "error",

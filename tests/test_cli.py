@@ -101,8 +101,10 @@ def test_resilience_rows_equal_pipeline_rows(ba_file, tmp_path, resilience):
     # the CLI and the pipeline reach the same removal sweep for one request
     every = 0.1
     argv = ["resilience", "--edge-list", str(ba_file), "--strategy", resilience["strategy"],
-            "--seed", str(resilience.get("seed", 0)), "--seeds", str(resilience.get("seeds", 1)),
             "--record-every", str(every), "--out", str(tmp_path / "trace.csv")]
+    for key in ("seed", "seeds"):
+        if key in resilience:
+            argv += [f"--{key}", str(resilience[key])]
     assert main(argv) == 0
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"input": {"edge_list": str(ba_file)},
@@ -270,6 +272,25 @@ class TestExitCodes:
             assert "--seeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--seeds", "5"], "--seeds"),
+            (["--seeds", "5", "--seed", "9"], "--seeds"),
+            (["--seed", "9"], "--seed"),
+            (["--seed", "0"], "--seed"),
+        ],
+        ids=["seeds", "seeds-and-seed", "seed", "seed-zero"],
+    )
+    def test_attack_takes_no_seed_setting(self, ba_file, tmp_path, capsys, args, named):
+        # an attack is deterministic, so a seed setting would be ignored
+        out = tmp_path / "attack.csv"
+        argv = ["resilience", "--edge-list", str(ba_file), "--strategy", "attack", *args,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {named}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["generate", "ba", "--n", "10", "--m", "2"],
@@ -392,6 +413,10 @@ class TestPipelineConfigErrors:
             ({"strategy": "error", "seed": -1}, "resilience.seed"),
             ({"strategy": "error", "sedes": 10}, "resilience.sedes"),
             ({"strategy": "attack", "edges": 10}, "resilience.edges"),
+            ({"strategy": "attack", "seeds": 5}, "resilience.seeds"),
+            ({"strategy": "attack", "seed": 9}, "resilience.seed"),
+            ({"strategy": "attack", "seeds": 5, "seed": 9}, "resilience.seeds"),
+            ({"seed": 0}, "resilience.seed"),
         ],
     )
     def test_bad_resilience_field(self, tmp_path, capsys, resilience, field):

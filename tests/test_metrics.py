@@ -146,14 +146,14 @@ class TestDiameter:
         # the double-sweep start is the middle of the path, whose one
         # deepest node settles the bound; a start at an end would need the
         # fringe of half the levels
-        runs = []
-        bfs, sweep = metrics._bfs_levels, metrics.source_sweep
-        monkeypatch.setattr(metrics, "_bfs_levels", lambda g, s: runs.append(s) or bfs(g, s))
+        tasks = []
+        kernel = metrics._bit_levels
         monkeypatch.setattr(
-            metrics, "source_sweep", lambda g, src: runs.extend(src) or sweep(g, src)
+            metrics, "_bit_levels",
+            lambda g, src, mask=None: tasks.extend(src) or kernel(g, src, mask),
         )
         assert diameter(path(1000)) == 999
-        assert len(runs) <= 5
+        assert len(tasks) <= 5
 
 
 class TestClustering:
@@ -363,7 +363,7 @@ class TestSharedSweep:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_graph(rng, max_n=9)
-            sweep = source_sweep(g, brandes=True)
+            sweep = source_sweep(g)
             assert summarize(g, sweep) == summarize(g)
             assert node_stats(g, sweep) == node_stats(g)
 
@@ -550,3 +550,96 @@ def test_betweenness_matches_networkx(name):
     got = betweenness_centrality(g)
     assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-9, abs=1e-9)
     assert [r.betweenness for r in node_stats(g)] == list(got)
+
+
+# -- the bit-parallel kernel against networkx ---------------------------------------
+
+
+def with_isolated(n, isolated):
+    """A BA graph (m=2) on every id of 0..n-1 but ``isolated``, which have
+    no edges."""
+    linked = [v for v in range(n) if v not in set(isolated)]
+    ba = generate_ba(BAParams(n=len(linked), m=2, seed=n))
+    return Graph(n, [(linked[u], linked[v]) for u, v in ba.edges()])
+
+
+KERNEL_GRAPHS = {
+    "isolated_first_and_middle": lambda: with_isolated(100, [0, 40, 41, 63, 64]),
+    "isolated_last": lambda: with_isolated(100, [50, 99]),
+    "no_edges": lambda: Graph(70),
+    "edge_and_isolated": lambda: Graph(66, [(3, 4)]),
+    **{
+        f"ba{n}": (lambda n=n: generate_ba(BAParams(n=n, m=2, seed=n)))
+        for n in (63, 64, 65, 127, 129)
+    },
+    "tied_isolated": tied_with_isolated,
+    "ba1000": lambda: generate_ba(BAParams(n=1000, m=3, seed=23)),
+    "grid30": DIAMETER_GRAPHS["grid30"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_forward_sweep_matches_networkx(name):
+    g = KERNEL_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(g)
+    lengths = [dict(nx.single_source_shortest_path_length(h, v)) for v in range(g.n)]
+    sums = [sum(d.values()) for d in lengths]
+    sweep = metrics._forward_sweep(g)
+    assert sweep.dist_sums.tolist() == sums
+    assert sweep.reached.tolist() == [len(d) - 1 for d in lengths]
+    assert sweep.eccentricity.tolist() == [max(d.values()) for d in lengths]
+
+    s = summarize(g)
+    reachable = sum(len(d) - 1 for d in lengths) // 2
+    if reachable == 0:
+        assert s.average_path_length is None
+        with pytest.raises(DegenerateInputError):
+            average_path_length(g)
+    else:
+        pairs = g.n * (g.n - 1) // 2
+        assert s.average_path_length == average_path_length(g).mean == sum(sums) // 2 / reachable
+        assert s.unreachable_pair_fraction == (pairs - reachable) / pairs
+    lcc = max(nx.connected_components(h), key=lambda c: (len(c), -min(c)))
+    if len(lcc) >= 2:
+        assert s.diameter == diameter(g) == nx.diameter(h.subgraph(lcc), usebounds=True)
+    else:
+        assert s.diameter is None
+
+
+@pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated"])
+def test_forward_sweep_equals_the_brandes_sweep(name):
+    g = KERNEL_GRAPHS[name]()
+    forward, brandes = metrics._forward_sweep(g), source_sweep(g)
+    for got, expected in zip(forward[:3], brandes[:3]):
+        assert got.dtype == expected.dtype and (got == expected).all()
+    assert forward.betweenness is None
+
+
+@pytest.mark.parametrize("name", ["cycle_with_tails", "grid30", "tied_isolated"])
+def test_stacked_rows_match_networkx(name, monkeypatch):
+    # each row is the largest component left after removing a random node
+    # set, and each is given twice: a node then starts two tasks of one
+    # block, and on the grid a fringe round holds more than 64 sources
+    g = DIAMETER_GRAPHS[name]()
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(g)
+    rng = np.random.default_rng(8)
+    members, expected = [], []
+    for count in (0, 1, 2, 5, 10, 30, 60):
+        removed = set(rng.choice(g.n, count, replace=False).tolist())
+        sub = h.subgraph(set(range(g.n)) - removed)
+        lcc = max(nx.connected_components(sub), key=lambda c: (len(c), -min(c)))
+        row = np.zeros(g.n, dtype=bool)
+        row[sorted(lcc)] = True
+        members += [row, row]
+        expected += [nx.diameter(sub.subgraph(lcc), usebounds=True)] * 2
+    tasks = []
+    bfs = metrics._bfs
+    monkeypatch.setattr(
+        metrics, "_bfs",
+        lambda g, src, *rest, **kw: tasks.append(len(src)) or bfs(g, src, *rest, **kw),
+    )
+    assert metrics._largest_component_diameter(g, np.array(members)).tolist() == expected
+    if name == "grid30":
+        assert max(tasks) > 64

@@ -152,12 +152,8 @@ class TestPipeline:
         assert data["resilience"]["seeds"] == [0, 1, 2]
 
     def test_overflow_costs_only_centralities(self, monkeypatch):
-        real = netsync.report.source_sweep
-
-        def overflowing(g, sources=None, brandes=False):
-            if brandes:
-                raise NumericalError("shortest-path counts overflow float64")
-            return real(g, sources)
+        def overflowing(g):
+            raise NumericalError("shortest-path counts overflow float64")
 
         monkeypatch.setattr(netsync.report, "source_sweep", overflowing)
         report = run_pipeline(er_config(stages=["summary", "centralities"]))
@@ -220,15 +216,14 @@ class TestReportSchema:
 
 
 def test_one_sweep_of_every_source(monkeypatch, tmp_path):
-    # a sweep over every source is called without a source list; a
-    # resilience row sweeps its own largest component, which is not counted
+    # each Brandes sweep of every source is counted; the forward sweeps of
+    # the summary and the resilience rows run on the bit-parallel kernel
     real = netsync.metrics.source_sweep
     full = []
 
-    def counting(g, sources=None, brandes=False):
-        if sources is None:
-            full.append(brandes)
-        return real(g, sources, brandes)
+    def counting(g):
+        full.append(True)
+        return real(g)
 
     for module in (netsync.metrics, netsync.report, netsync.cli):
         monkeypatch.setattr(module, "source_sweep", counting)

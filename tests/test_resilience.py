@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsync import metrics, resilience
+from netsync import graph, metrics
 from netsync.errors import InputError
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.graph import Graph
@@ -222,6 +222,26 @@ def test_matches_networkx_with_tied_largest_components(strategy):
         assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05), k
 
 
+def cycle_around_ba(k):
+    """``cycle_beside_ba``'s two components, the cycle on ids 0 and
+    k+1..2k-1 and the BA graph on 1..k: the cycle holds the smallest id and
+    the BA graph the smaller largest id. The cycle is measured."""
+    ba = generate_ba(BAParams(n=k, m=2, seed=3))
+    ring = [0, *range(k + 1, 2 * k)]
+    edges = [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+    edges += [(u + 1, v + 1) for u, v in ba.edges()]
+    return Graph(2 * k, edges)
+
+
+@pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
+def test_matches_networkx_when_tied_components_interleave(strategy):
+    for k in (32, 100):
+        g = cycle_around_ba(k)
+        trace = run_resilience(g, strategy, record_every=0.05)
+        assert trace.rows[0].diameter == k // 2 and trace.rows[0].components == 2
+        assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05), k
+
+
 @pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
 def test_matches_networkx_with_tied_components_above_one_block(strategy):
     # 100-node components take the iFUB path, not one sweep block
@@ -238,20 +258,44 @@ STRATEGIES = [TargetedAttack(), RandomError(seed=4)]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("n", [2, 3, 49, 63, 64, 65])
+@pytest.mark.parametrize("n", [2, 3, 49, 63, 64, 65, 127, 129])
 def test_matches_networkx_either_side_of_one_block(n, strategy):
-    # at most 64 nodes: one distance matrix; 65: per-row snapshots
+    # at most 64 nodes: one distance matrix; more: union-find rows
     g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, 2 * n), seed=n))
     assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("size", [30, 90])
 @pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
-def test_matches_networkx_with_isolated_nodes(shift, strategy):
-    # a 30-node BA graph beside ten isolated nodes, on ids 30..39 or 0..9
-    ba = generate_ba(BAParams(n=30, m=2, seed=6))
-    g = Graph(40, [(u + shift, v + shift) for u, v in ba.edges()])
+def test_matches_networkx_with_isolated_nodes(shift, size, strategy):
+    # a BA graph beside ten isolated nodes, on the last ten ids or 0..9
+    ba = generate_ba(BAParams(n=size, m=2, seed=6))
+    g = Graph(size + 10, [(u + shift, v + shift) for u, v in ba.edges()])
     assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_matches_networkx_with_isolated_nodes_in_the_middle(strategy):
+    # a 100-node path whose ids 30..39 and 99 are isolated nodes instead
+    edges = [(i, i + 1) for i in range(98) if not (29 <= i <= 39)] + [(29, 40)]
+    g = Graph(100, edges)
+    assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_matches_networkx_without_edges(strategy):
+    g = Graph(70)
+    assert netsync_rows(run_resilience(g, strategy, 0.1)) == networkx_trace(g, strategy, 0.1)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_matches_networkx_over_several_batches_of_rows(strategy):
+    # 150 recorded rows: the diameters take three batches of at most 64
+    g = generate_ba(BAParams(n=150, m=2, seed=9))
+    trace = run_resilience(g, strategy, record_every=0.005)
+    assert len(trace.rows) == 150
+    assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.005)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -284,14 +328,14 @@ def test_one_block_builds_no_subgraph_and_runs_no_sweep(monkeypatch):
     def refuse(*args, **kwargs):
         raise Refused
 
-    for module, name in [(resilience, "induced_subgraph"),
-                         (resilience, "connected_components"),
+    # up to one block, rows come from one distance matrix; past it, from one
+    # union-find pass and the bit-parallel iFUB over masks of the input graph
+    for module, name in [(graph, "induced_subgraph"),
+                         (graph, "connected_components"),
+                         (metrics, "connected_components"),
                          (metrics, "source_sweep")]:
         monkeypatch.setattr(module, name, refuse)
-    for n in (2, 49, 64):
+    for n in (2, 49, 64, 65, 1000):
         g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, n), seed=1))
         for strategy in STRATEGIES:
             run_resilience(g, strategy)
-    # past one block, each row is built and measured on its own
-    with pytest.raises(Refused):
-        run_resilience(generate_er(ERParams(n=65, m=65, seed=1)), TargetedAttack())
