@@ -265,13 +265,26 @@ def test_matches_networkx_either_side_of_one_block(n, strategy):
     assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("size", [30, 90])
-@pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
-def test_matches_networkx_with_isolated_nodes(shift, size, strategy):
-    # a BA graph beside ten isolated nodes, on the last ten ids or 0..9
+def ba_beside_isolated_nodes(size, shift):
+    """A ``size``-node BA graph beside ten isolated nodes, on the last ten
+    ids (``shift=0``) or on 0..9 (``shift=10``)."""
     ba = generate_ba(BAParams(n=size, m=2, seed=6))
-    g = Graph(size + 10, [(u + shift, v + shift) for u, v in ba.edges()])
+    return Graph(size + 10, [(u + shift, v + shift) for u, v in ba.edges()])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
+def test_matches_networkx_with_isolated_nodes(shift, strategy):
+    # 40 nodes: one distance matrix
+    g = ba_beside_isolated_nodes(30, shift)
+    assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
+def test_matches_networkx_with_isolated_nodes_above_one_block(shift, strategy):
+    # 100 nodes: union-find rows
+    g = ba_beside_isolated_nodes(90, shift)
     assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
 
 
