@@ -84,6 +84,8 @@ class PipelineConfig:
             for pos, name in enumerate(stages):
                 if name not in ALL_STAGES:
                     raise InputError(f"stages[{pos}]: unknown stage {name!r}")
+                if name in stages[:pos]:
+                    raise InputError(f"stages[{pos}]: duplicate stage {name!r}")
             cfg.stages = list(stages)
         else:
             raise InputError("stages: expected 'all' or a list of stage names")

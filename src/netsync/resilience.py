@@ -6,15 +6,10 @@ or the currently highest-degree node with ties broken by smallest id
 degrees by one). The removal order is drawn first, and rows are recorded
 at a configurable granularity of the removal fraction. After
 fragmentation, the diameter reported is that of the largest remaining
-component, and 0 once that component is a single node. Every row is exact
-and computed in one of two ways, chosen by the input's size n0:
-
-- n0 <= 64: every row comes from one n0 x n0 distance matrix, filled by
-  putting the removed nodes back in reverse order, with no subgraph,
-  components pass or sweep per row.
-- n0 > 64: one union-find pass over the same order gives every row's
-  components, and iFUB measures their largest, 64 rows of node masks of
-  the input at a time (``metrics._largest_component_diameter``).
+component, and 0 once that component is a single node. Every row is exact:
+one union-find pass that puts the removed nodes back in reverse order gives
+every row's components, and iFUB measures their largest, 64 rows of node
+masks of the input at a time (``metrics._largest_component_diameter``).
 """
 
 from __future__ import annotations
@@ -28,14 +23,6 @@ from .errors import InputError, check_memory
 from .generators import rng_from_seed
 from .graph import Graph
 from .metrics import _BLOCK, _largest_component_diameter
-
-# Largest input whose rows all come from one distance matrix (cost ~ n0^3).
-# On BA(n0, 3), attack and error at record_every 0.02, that costs less than
-# the union-find rows up to n0=120 (4.9-5.9 against 6.8-7.3 ms per run) and
-# more from n0=200 (12.6-13.0 against 9.5-9.8 ms); no workload lies between
-# 64 and 200 nodes to measure a higher bound.
-_INSERTION_MAX_N = 64
-
 
 @dataclass(frozen=True)
 class RandomError:
@@ -112,16 +99,27 @@ def _recorded(n0: int, record_every: float) -> list[int]:
     return [k for k in range(n0) if k % stride == 0 or k == n0 - 1]
 
 
+def _components_of(parents: list[np.ndarray], roots: list[int]) -> np.ndarray:
+    """(rows, n) bool: row i holds the nodes that ``parents[i]``, a union-find
+    forest, leads to root ``roots[i]``. An absent node is its own root."""
+    root = np.stack(parents)
+    while ((up := np.take_along_axis(root, root, axis=1)) != root).any():
+        root = up
+    return root == np.array(roots)[:, None]
+
+
 def _rows_by_union(g: Graph, order: list[int], recorded: list[int]) -> list[TraceRow]:
     """Every row from one pass that puts the removed nodes back in reverse
-    order, joined by union-find (Newman & Ziff, PRL 85, 4104, 2000). The
-    smaller root wins a union, so a root is its component's smallest id and
-    the largest component with the smallest root is measured, as
-    ``ComponentPartition.largest`` does: 64 rows per call of
-    ``metrics._largest_component_diameter``, with no subgraph built."""
+    order, joined by union-find with a running component count and largest
+    size (Newman & Ziff, PRL 85, 4104, 2000). The smaller root wins a union,
+    so a root is its component's smallest id and the largest component with
+    the smallest root is measured, as ``ComponentPartition.largest`` does:
+    64 rows per call of ``metrics._largest_component_diameter``, each a
+    mask of the input, with no subgraph built."""
     n0 = g.n
     indptr, indices = g.matrix.indptr.tolist(), g.matrix.indices.tolist()
     parent = list(range(n0))
+    size = [1] * n0
     present = [False] * n0
 
     def find(v: int) -> int:
@@ -130,84 +128,39 @@ def _rows_by_union(g: Graph, order: list[int], recorded: list[int]) -> list[Trac
         return v
 
     wanted = set(recorded)
-    sizes, counts, members = [], [], []
+    count = lcc = best = 0
+    stats, diameters, bests, parents = [], [], [], []
     # the one node never removed, then the removed ones in reverse order
     returns = [n0 * (n0 - 1) // 2 - sum(order), *reversed(order)]
     for k, v in zip(range(n0 - 1, -1, -1), returns):
         # after this step, the present nodes are those left after k removals
         present[v] = True
+        count += 1
         for w in indices[indptr[v] : indptr[v + 1]]:
             if present[w]:
                 rv, rw = find(v), find(w)
-                parent[max(rv, rw)] = min(rv, rw)
-        if k in wanted:
-            alive = np.array(present)
-            root = np.array(parent)
-            while (root[root] != root).any():
-                root = root[root]
-            size = np.bincount(root[alive], minlength=n0)
-            sizes.append(int(size.max()))
-            counts.append(int(np.count_nonzero(size)))
-            members.append(alive & (root == np.argmax(size)))
-    diameters = []
-    for lo in range(0, len(members), _BLOCK):
-        diameters += _largest_component_diameter(g, np.stack(members[lo : lo + _BLOCK])).tolist()
-    rows = zip(reversed(recorded), diameters, sizes, counts)
-    return [TraceRow(k / n0, diam, size, count) for k, diam, size, count in rows][::-1]
-
-
-_UNREACHED = 1 << 20  # distance sentinel; sums of two stay within int32
-
-
-def _rows_by_insertion(g: Graph, order: list[int], recorded: list[int]) -> list[TraceRow]:
-    """Every row from one n0 x n0 distance matrix, filled by putting the
-    removed nodes back in reverse order (Newman & Ziff, PRL 85, 4104, 2000).
-
-    An added node v is d_v = 1 + the minimum of its neighbours' rows away
-    from every node, and any new shortest path runs through v, so
-    D = min(D, d_v[:, None] + d_v[None, :]). Entries at or above _UNREACHED
-    mean no path; the rows and columns of absent nodes hold nothing else,
-    so an absent neighbour changes no minimum.
-    """
-    n0 = g.n
-    indptr, indices = g.matrix.indptr, g.matrix.indices
-    dist = np.full((n0, n0), _UNREACHED, dtype=np.int32)
-    left = np.ones(n0, dtype=bool)
-    left[order] = False
-    last = int(np.flatnonzero(left)[0])
-    dist[last, last] = 0
-    wanted = set(recorded)
-    rows = []
-    for k in range(n0 - 1, 0, -1):
-        # dist now holds the graph left after k removals
-        if k in wanted:
-            rows.append(_row_from_distances(k / n0, dist))
-        v = order[k - 1]
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        d_v = dist[nbrs].min(axis=0, initial=_UNREACHED) + 1
-        d_v[v] = 0
-        np.minimum(dist, d_v[:, None] + d_v, out=dist)
-    rows.append(_row_from_distances(0.0, dist))
-    rows.reverse()
-    return rows
-
-
-def _row_from_distances(fraction: float, dist: np.ndarray) -> TraceRow:
-    """A row from the survivors' distances. A node is a component's root
-    when it is the smallest id it reaches; of the largest components, the
-    one with the smallest root is measured, as ``ComponentPartition.largest``
-    does."""
-    reach = dist < _UNREACHED
-    size = reach.sum(axis=1)  # 0 for absent nodes
-    root = (size > 0) & (reach.argmax(axis=1) == np.arange(len(dist)))
-    lcc = int(size.max())
-    members = reach[int(np.argmax(root & (size == lcc)))]
-    return TraceRow(
-        fraction_removed=fraction,
-        diameter=int(dist[members][:, members].max()),
-        lcc_size=lcc,
-        components=int(root.sum()),
-    )
+                if rv != rw:
+                    root, child = min(rv, rw), max(rv, rw)
+                    parent[child] = root
+                    size[root] += size[child]
+                    count -= 1
+        # only v's component changed, and a merged one outgrows its parts
+        root = find(v)
+        if (size[root], -root) > (lcc, -best):
+            lcc, best = size[root], root
+        if k not in wanted:
+            continue
+        stats.append((k / n0, lcc, count))
+        bests.append(best)
+        parents.append(np.array(parent, dtype=np.int32))
+        # measured as each 64 rows fill, so no more forests are kept at once;
+        # k = 0 is the last row recorded
+        if len(parents) == _BLOCK or k == 0:
+            members = _components_of(parents, bests)
+            bests, parents = [], []
+            diameters += _largest_component_diameter(g, members).tolist()
+    rows = [TraceRow(f, diam, lcc, count) for (f, lcc, count), diam in zip(stats, diameters)]
+    return rows[::-1]
 
 
 def run_resilience(
@@ -219,21 +172,17 @@ def run_resilience(
     (fraction removed, diameter, largest-component size, component count)
     at the requested granularity.
 
-    The removal order is drawn first. A graph of at most _INSERTION_MAX_N
-    (64) nodes then builds every row from one distance matrix by putting
-    the removed nodes back in reverse order (``_rows_by_insertion``); a
-    larger one puts them back by union-find and measures the recorded
-    rows' largest components together (``_rows_by_union``).
+    The removal order is drawn first; the rows then come from putting the
+    removed nodes back in reverse order (``_rows_by_union``).
     """
     recorded = _recorded(g.n, record_every)
     order = _removal_order(g, strategy)
-    build = _rows_by_insertion if g.n <= _INSERTION_MAX_N else _rows_by_union
     attack = isinstance(strategy, TargetedAttack)
     return ResilienceTrace(
         strategy="attack" if attack else "error",
         seed=None if attack else strategy.seed,
         initial_n=g.n,
-        rows=build(g, order, recorded),
+        rows=_rows_by_union(g, order, recorded),
     )
 
 

@@ -186,10 +186,16 @@ class SyncConfig:
                     f"inner coupling must be {self.state_dim}x{self.state_dim}, "
                     f"got shape {gamma.shape}"
                 )
+        steps = self.t_max / self.dt
         # times and errors; kept states (or the last); one RK4 step's 8 arrays
-        rows = self.t_max / self.dt + 1.0
+        rows = steps + 1.0
         floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 8)
-        check_memory(8.0 * floats, f"{rows - 1:.6g} steps of {n} nodes")
+        check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
+        # after the memory check, which refuses an infinite step count
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise InputError(
+                f"t_max must be a whole number of dt steps, got t_max={self.t_max}, dt={self.dt}"
+            )
 
     def resolve_dynamics(self) -> Dynamics:
         if callable(self.dynamics):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsync.cli import main
 from netsync.edgelist import ingest_edge_list
@@ -237,13 +239,15 @@ class TestExitCodes:
             (["--tmax", "1e15"], "bytes"),
             (["--dt", "1e-300", "--tmax", "1"], "bytes"),
             (["--dt", "1e-3", "--tmax", "1e6", "--full"], "bytes"),
+            (["--dt", "0.6", "--tmax", "1"], "got t_max=1.0, dt=0.6"),
+            (["--dt", "0.7", "--tmax", "1"], "got t_max=1.0, dt=0.7"),
             (["--state-dim", "-1"], "state_dim"),
             (["--spectral-only", "--closeness-threshold", "nan"], "closeness_threshold"),
             (["--spectral-only", "--closeness-threshold", "inf"], "closeness_threshold"),
         ],
         ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tol-nan", "tmax-1e15",
-             "dt-1e-300", "full-states", "state-dim-negative", "closeness-nan",
-             "closeness-inf"],
+             "dt-1e-300", "full-states", "dt-overshoots-tmax", "dt-stops-short-of-tmax",
+             "state-dim-negative", "closeness-nan", "closeness-inf"],
     )
     def test_bad_sync_numbers(self, ba_file, capsys, args, named):
         assert main(["sync", "--edge-list", str(ba_file), *args]) == 2
@@ -376,6 +380,58 @@ def test_unread_option_is_rejected(capsys, argv, option):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def tiny_edge_lists(tmp_path_factory):
+    """Edge lists of at most 12 nodes: a BA graph, K4 (no degree tail), one
+    edge, a self-loop and an empty file."""
+    root = tmp_path_factory.mktemp("tiny")
+    texts = {"k4": "a b\na c\na d\nb c\nb d\nc d\n", "edge": "a b\n",
+             "loop": "a a\n", "empty": ""}
+    for name, text in texts.items():
+        (root / f"{name}.edges").write_text(text)
+    assert main(["generate", "ba", "--n", "12", "--m", "2", "--seed", "1",
+                 "--out", str(root / "ba.edges")]) == 0
+    return sorted(str(path) for path in root.glob("*.edges"))
+
+
+def numbers(**valid):
+    """argv for each named option: one of its valid values (space-separated),
+    0, -1, nan, inf or a non-number."""
+    pairs = [
+        st.tuples(st.just("--" + name.replace("_", "-")),
+                  st.sampled_from([*good.split(), "0", "-1", "nan", "inf", "x"]))
+        for name, good in valid.items()
+    ]
+    return st.tuples(*pairs).map(lambda ps: [arg for pair in ps for arg in pair])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory, data):
+    # every valid value is small: at most 3 seeds, t_max 1 at dt 0.1, 30 nodes
+    edge_list = ["--edge-list", data.draw(st.sampled_from(tiny_edge_lists))]
+    argv = data.draw(st.one_of(
+        st.tuples(st.just(["generate", "ba"]), numbers(n="30", m="2", m0="3", seed="1")),
+        st.tuples(st.just(["generate", "er"]), numbers(n="30", edges="40", seed="1")),
+        st.tuples(st.just(["analyze", *edge_list]),
+                  st.sampled_from([["--format", "json"], ["--format", "csv"]])),
+        st.tuples(st.just(["fit", *edge_list]), st.sampled_from([[], ["--compare-er"]]),
+                  numbers(seed="1")),
+        st.tuples(st.just(["resilience", *edge_list]),
+                  st.sampled_from([["--strategy", "attack"], ["--strategy", "error"]]),
+                  numbers(seeds="3", seed="1", record_every="0.25")),
+        st.tuples(st.just(["sync", *edge_list]), st.sampled_from([[], ["--spectral-only"]]),
+                  numbers(c="1", dt="0.1 0.6", tmax="1", tol="1e-6", state_dim="2",
+                          closeness_threshold="0.5")),
+    ).map(lambda parts: [arg for part in parts for arg in part]))
+    out = tmp_path_factory.getbasetemp() / "out"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a value it cannot parse
+        code = exc.code
+    assert code in {0, 1, 2, 3}, argv
+
+
 class TestPipelineConfigErrors:
     """Every malformed config is an input error (exit 2) naming its field."""
 
@@ -445,6 +501,22 @@ class TestPipelineConfigErrors:
         cfg = dict(self.GOOD, input={"generate": generate})
         code, err = self.run(tmp_path, capsys, json.dumps(cfg))
         assert code == 2 and f"{field}:" in err
+
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            (["summary", "summary"], "stages[1]: duplicate stage 'summary'"),
+            (["resilience", "summary", "resilience"], "stages[2]: duplicate stage 'resilience'"),
+            (["summary", "sumary"], "stages[1]: unknown stage 'sumary'"),
+            ("summary", "stages: expected 'all' or a list"),
+        ],
+        ids=["duplicate", "duplicate-apart", "unknown", "not-a-list"],
+    )
+    def test_bad_stages(self, tmp_path, capsys, stages, message):
+        cfg = dict(self.GOOD, stages=stages)
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and message in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_input_field(self, tmp_path, capsys):
         cfg = dict(self.GOOD, input={**self.GOOD["input"], "edgelist": "g.edges"})

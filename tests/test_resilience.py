@@ -214,7 +214,7 @@ def cycle_beside_ba(k):
 
 @pytest.mark.parametrize("strategy", [TargetedAttack(), RandomError(seed=2)])
 def test_matches_networkx_with_tied_largest_components(strategy):
-    # 40 + 40 nodes take per-row snapshots; 20 + 20 and 32 + 32 the insertion
+    # 20 + 20 and 32 + 32 nodes are within one sweep block, 40 + 40 past it
     for k in (20, 32, 40):
         g = cycle_beside_ba(k)
         trace = run_resilience(g, strategy, record_every=0.05)
@@ -251,7 +251,7 @@ def test_matches_networkx_with_tied_components_above_one_block(strategy):
     assert netsync_rows(trace) == networkx_trace(g, strategy, record_every=0.05)
 
 
-# -- rows by insertion: graphs of at most one sweep block (64 nodes) --------------
+# -- union-find rows either side of one sweep block (64 nodes) -------------------
 
 
 STRATEGIES = [TargetedAttack(), RandomError(seed=4)]
@@ -260,7 +260,7 @@ STRATEGIES = [TargetedAttack(), RandomError(seed=4)]
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("n", [2, 3, 49, 63, 64, 65, 127, 129])
 def test_matches_networkx_either_side_of_one_block(n, strategy):
-    # at most 64 nodes: one distance matrix; more: union-find rows
+    # sizes either side of 64, the width of one sweep block
     g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, 2 * n), seed=n))
     assert netsync_rows(run_resilience(g, strategy)) == networkx_trace(g, strategy)
 
@@ -275,7 +275,7 @@ def ba_beside_isolated_nodes(size, shift):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
 def test_matches_networkx_with_isolated_nodes(shift, strategy):
-    # 40 nodes: one distance matrix
+    # 40 nodes, within one sweep block
     g = ba_beside_isolated_nodes(30, shift)
     assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
 
@@ -283,7 +283,7 @@ def test_matches_networkx_with_isolated_nodes(shift, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("shift", [0, 10], ids=["isolated-last", "isolated-first"])
 def test_matches_networkx_with_isolated_nodes_above_one_block(shift, strategy):
-    # 100 nodes: union-find rows
+    # 100 nodes, past one sweep block
     g = ba_beside_isolated_nodes(90, shift)
     assert netsync_rows(run_resilience(g, strategy, 0.05)) == networkx_trace(g, strategy, 0.05)
 
@@ -341,8 +341,8 @@ def test_one_block_builds_no_subgraph_and_runs_no_sweep(monkeypatch):
     def refuse(*args, **kwargs):
         raise Refused
 
-    # up to one block, rows come from one distance matrix; past it, from one
-    # union-find pass and the bit-parallel iFUB over masks of the input graph
+    # on either side of one block, rows come from one union-find pass and the
+    # bit-parallel iFUB over masks of the input graph
     for module, name in [(graph, "induced_subgraph"),
                          (graph, "connected_components"),
                          (metrics, "connected_components"),

@@ -309,6 +309,20 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             cfg.validate()
 
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 0.6), (1.0, 0.7), (2.0, 0.03), (5.0, 0.011)])
+    def test_t_max_must_be_whole_steps(self, t_max, dt):
+        cfg = SyncConfig(dt=dt, t_max=t_max)
+        named = f"whole number of dt steps, got t_max={t_max}, dt={dt}"
+        with pytest.raises(InputError, match=named):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "t_max, dt",
+        [(2.0, 0.04), (2.0, 0.05), (1.0, 0.1), (0.3, 0.1), (5.0, 0.01), (50.0, 0.01), (60.0, 0.01)],
+    )
+    def test_t_max_in_whole_steps_accepted(self, t_max, dt):
+        SyncConfig(dt=dt, t_max=t_max).validate()
+
     @pytest.mark.parametrize("name", ["c", "dt", "t_max", "tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, name, value):
