@@ -6,12 +6,16 @@ The set covers every subcommand that writes a report: on a BA graph of
 ``analyze`` (JSON and CSV), ``resilience`` (attack, error with seed 3, a
 5-seed error ensemble), ``fit --compare-er`` (inline and with
 ``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
---tmax 2`` and ``sync --tmax 5``; and ``pipeline --deterministic`` with every
-stage on both 49-node edge lists, under attack and under a 4-seed error
-ensemble. Four more pipelines generate their graph from ``input.generate``
-and run every stage with a one-seed error run (seed 2): ER(49, 351, seed 3)
-with its edge count as ``edges`` and as the alias ``m``, and BA(49, m=8,
-seed 5) with the default core and with ``m0`` 10. On a square grid, whose
+--tmax 2`` and ``sync --tmax 5`` with zero dynamics, ``sync --dynamics
+logistic:0.5 --state-dim 2 --full --tmax 1`` and ``sync --dynamics
+linear:-0.3 --tmax 2``, so the RK4 stepper runs with one state dimension
+and with two, with node dynamics and without; and ``pipeline
+--deterministic`` with every stage on both 49-node edge lists, under attack
+and under a 4-seed error ensemble. Four more pipelines generate their
+graph from ``input.generate`` and run every stage with a one-seed error run
+(seed 2): ER(49, 351, seed 3) with its edge count as ``edges`` and as the
+alias ``m``, and BA(49, m=8, seed 5) with the default core and with ``m0``
+10. On a square grid, whose
 edge list the script writes itself, ``resilience`` runs under attack and
 error with seed 3, and under attack again with ``--record-every 0.005``: a
 long-diameter input unlike the random graphs, and at least 81 recorded
@@ -81,6 +85,10 @@ def commands(n: int) -> list[list[str]]:
         ["sync", "--edge-list", "er49.edges", "--full", "--tmax", "2",
          "--out", "er49.sync_full.csv"],
         ["sync", "--edge-list", "er49.edges", "--tmax", "5", "--out", "er49.sync.csv"],
+        ["sync", "--edge-list", "er49.edges", "--dynamics", "logistic:0.5", "--state-dim", "2",
+         "--full", "--tmax", "1", "--out", "er49.sync_logistic.csv"],
+        ["sync", "--edge-list", "er49.edges", "--dynamics", "linear:-0.3", "--tmax", "2",
+         "--out", "er49.sync_linear.csv"],
     ]
     grid = ["resilience", "--edge-list", "grid.edges", "--strategy"]
     argvs += [

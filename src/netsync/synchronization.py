@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DivergenceError, InputError, NumericalError, check_memory
 from .graph import Graph
@@ -187,9 +189,13 @@ class SyncConfig:
                     f"got shape {gamma.shape}"
                 )
         steps = self.t_max / self.dt
-        # times and errors; kept states (or the last); one RK4 step's 8 arrays
+        # times and errors; kept states (or the last); the stepper's working
+        # set of 10 states: x, the 4 stages, tmp and acc, and at most 3
+        # temporaries at a time, those of f (logistic holds r*x, 1-x and
+        # their product), which outnumber Gamma's one copy and the two of
+        # the deviation measure
         rows = steps + 1.0
-        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 8)
+        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 10)
         check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
         # after the memory check, which refuses an infinite step count
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
@@ -226,38 +232,72 @@ def simulate(
     if x.shape != (g.n, cfg.state_dim):
         raise InputError(f"x0 must have shape ({g.n}, {cfg.state_dim}), got {x.shape}")
     f = cfg.resolve_dynamics()
-    gamma = np.eye(cfg.state_dim) if cfg.inner_coupling is None else cfg.inner_coupling
-    gamma = np.asarray(gamma, dtype=np.float64)
+    # Gamma^T, or None for no Gamma or an exact identity; a Gamma merely
+    # close to the identity is a different system and is applied
+    gamma_t = None
+    gamma = cfg.inner_coupling
+    if gamma is not None and not np.array_equal(gamma, np.eye(cfg.state_dim)):
+        gamma_t = np.asarray(gamma, dtype=np.float64).T
     coupling = cfg.c * _coupling_operator(g)
-    identity_gamma = np.allclose(gamma, np.eye(cfg.state_dim))
-
-    def deriv(state: np.ndarray) -> np.ndarray:
-        # spmatrix `*` is the matrix product, without `@`'s scalar check
-        mixed = coupling * state
-        if not identity_gamma:
-            mixed = mixed @ gamma.T
-        return mixed if f is _no_dynamics else f(state) + mixed
+    n, dim = x.shape
 
     def max_deviation(state: np.ndarray) -> np.float64:
         # sum / n is bitwise equal to state.mean(axis=0)
-        return np.abs(state - state.sum(axis=0) / g.n).max()
+        return np.abs(state - state.sum(axis=0) / n).max()
 
     steps = int(round(cfg.t_max / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
-    states = np.empty((steps + 1 if keep_states else 1, g.n, cfg.state_dim))
+    states = np.empty((steps + 1 if keep_states else 1, n, dim))
     states[0] = x
     errors = np.empty(steps + 1)
     errors[0] = max_deviation(x)
     h = cfg.dt
+
+    # Every step reuses these buffers. The coupling product calls the CSR
+    # kernel that `coupling * state` reaches (csr_matvec for one column,
+    # csr_matvecs for several), which adds each row's products in CSR order
+    # to the zero it finds in its output; every other operation is one that
+    # the allocating RK4 expression evaluates, in its order, so the outputs
+    # are that expression's bits. The kernel reads a C-ordered state.
+    x = np.ascontiguousarray(x)
+    ks = np.empty((4, n, dim))
+    tmp = np.empty((n, dim))
+    acc = np.empty((n, dim))
+    k1, k2, k3, k4 = ks
+    k1_flat, k2_flat, k3_flat, k4_flat = ks.reshape(4, -1)
+    x_flat, tmp_flat = x.reshape(-1), tmp.reshape(-1)
+    csr = (coupling.indptr, coupling.indices, coupling.data)
+    if dim == 1:
+        product = partial(_sparsetools.csr_matvec, n, n, *csr)
+    else:
+        product = partial(_sparsetools.csr_matvecs, n, n, dim, *csr)
+
+    def deriv(state: np.ndarray, state_flat: np.ndarray,
+              out: np.ndarray, out_flat: np.ndarray) -> None:
+        # out must hold zeros: the kernel adds the product to it
+        product(state_flat, out_flat)
+        if gamma_t is not None:
+            np.matmul(out, gamma_t, out=out)
+        if f is not _no_dynamics:
+            np.add(f(state), out, out=out)
+
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            k1 = deriv(x)
-            k2 = deriv(x + 0.5 * h * k1)
-            k3 = deriv(x + 0.5 * h * k2)
-            k4 = deriv(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ks.fill(0.0)
+            deriv(x, x_flat, k1, k1_flat)
+            np.add(x, np.multiply(k1, 0.5 * h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k2, k2_flat)
+            np.add(x, np.multiply(k2, 0.5 * h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k3, k3_flat)
+            np.add(x, np.multiply(k3, h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k4, k4_flat)
+            # x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
             errors[step] = error = max_deviation(x)
             if not math.isfinite(error):
                 raise DivergenceError(

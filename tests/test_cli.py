@@ -422,7 +422,10 @@ def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory
                   numbers(seeds="3", seed="1", record_every="0.25")),
         st.tuples(st.just(["sync", *edge_list]), st.sampled_from([[], ["--spectral-only"]]),
                   numbers(c="1", dt="0.1 0.6", tmax="1", tol="1e-6", state_dim="2",
-                          closeness_threshold="0.5")),
+                          closeness_threshold="0.5"),
+                  # linear:1e10 overflows at dt 0.1, t_max 1: a divergence, exit 3
+                  st.sampled_from(["zero", "linear:-0.3", "logistic:2", "linear:1e10",
+                                   "bogus", "linear:x"]).map(lambda d: ["--dynamics", d])),
     ).map(lambda parts: [arg for part in parts for arg in part]))
     out = tmp_path_factory.getbasetemp() / "out"
     try:

@@ -12,6 +12,7 @@ from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.synchronization import (
     SyncConfig,
+    _coupling_operator,
     coupling_matrix,
     fit_decay_rate,
     make_dynamics,
@@ -239,6 +240,33 @@ def dense_rk4_errors(g, cfg, x0):
     return np.array(errors)
 
 
+SPARSE_CASES = [
+    "disconnected_with_isolated_node", "two_dim_gamma", "linear_dynamics", "near_identity_gamma"
+]
+
+
+def sparse_case(case):
+    """Graph and settings of one named simulate case."""
+    if case == "disconnected_with_isolated_node":
+        left = generate_er(ERParams(n=30, m=60, seed=1))
+        right = generate_er(ERParams(n=20, m=40, seed=2))
+        edges = list(left.edges()) + [(u + 30, v + 30) for u, v in right.edges()]
+        g = Graph(51, edges)  # node 50 is isolated
+        return g, SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero")
+    if case == "two_dim_gamma":
+        g = generate_ba(BAParams(n=200, m=2, seed=3))
+        gamma = np.array([[1.0, 0.5], [0.0, 0.3]])
+        return g, SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero",
+                             state_dim=2, inner_coupling=gamma)
+    if case == "near_identity_gamma":
+        # within allclose's 1e-5 of the identity, and still a different system
+        g = generate_ba(BAParams(n=50, m=2, seed=1))
+        return g, SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero",
+                             inner_coupling=np.array([[1.000009]]))
+    g = generate_er(ERParams(n=60, m=150, seed=6))
+    return g, SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="linear:-0.3")
+
+
 class TestSparsePath:
     """simulate on the sparse operator against dense and exact references."""
 
@@ -254,30 +282,22 @@ class TestSparsePath:
         exact_err = np.abs(exact - exact.mean(axis=1, keepdims=True)).max(axis=1)
         np.testing.assert_allclose(traj.sync_error[late], exact_err, rtol=1e-6)
 
-    @pytest.mark.parametrize(
-        "case", ["disconnected_with_isolated_node", "two_dim_gamma", "linear_dynamics"]
-    )
+    @pytest.mark.parametrize("case", SPARSE_CASES)
     def test_matches_dense_rk4(self, case):
-        if case == "disconnected_with_isolated_node":
-            left = generate_er(ERParams(n=30, m=60, seed=1))
-            right = generate_er(ERParams(n=20, m=40, seed=2))
-            edges = list(left.edges()) + [(u + 30, v + 30) for u, v in right.edges()]
-            g = Graph(51, edges)  # node 50 is isolated
-            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero")
-        elif case == "two_dim_gamma":
-            g = generate_ba(BAParams(n=200, m=2, seed=3))
-            gamma = np.array([[1.0, 0.5], [0.0, 0.3]])
-            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero",
-                             state_dim=2, inner_coupling=gamma)
-        else:
-            g = generate_er(ERParams(n=60, m=150, seed=6))
-            cfg = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="linear:-0.3")
+        g, cfg = sparse_case(case)
         x0 = np.random.default_rng(7).standard_normal((g.n, cfg.state_dim))
         got = simulate(g, cfg, x0).sync_error
         ref = dense_rk4_errors(g, cfg, x0)
         rows = ref > 1e-6 * ref[0]
         assert rows.sum() > 100
         np.testing.assert_allclose(got[rows], ref[rows], rtol=1e-10)
+
+    def test_gamma_near_identity_is_applied(self):
+        g, cfg = sparse_case("near_identity_gamma")
+        x0 = np.random.default_rng(7).standard_normal((g.n, 1))
+        plain = SyncConfig(c=0.7, dt=0.01, t_max=5.0, dynamics="zero")
+        got = simulate(g, cfg, x0).sync_error
+        assert not np.array_equal(got, simulate(g, plain, x0).sync_error)
 
     def test_final_state_only_unless_kept(self):
         g = generate_ba(BAParams(n=100, m=2, seed=8))
@@ -292,6 +312,91 @@ class TestSparsePath:
         assert np.array_equal(lean.sync_error, kept.sync_error)
         final = lean.states[0]
         assert np.abs(final - final.mean(axis=0)).max() == lean.sync_error[-1]
+
+
+def allocating_rk4(g, cfg, x0, keep_states=False):
+    """RK4 in allocating expressions, with the coupling product through
+    scipy's public ``coupling * state``: the reference whose bits simulate
+    must give. It guards simulate's direct call of scipy's private CSR
+    kernel. Returns the error series and the states (kept, or the last)."""
+    coupling = cfg.c * _coupling_operator(g)
+    f = cfg.resolve_dynamics()
+    gamma = cfg.inner_coupling
+    if gamma is not None and np.array_equal(gamma, np.eye(cfg.state_dim)):
+        gamma = None
+
+    def deriv(state):
+        mixed = coupling * state
+        if gamma is not None:
+            mixed = mixed @ np.asarray(gamma, dtype=np.float64).T
+        return mixed if cfg.dynamics == "zero" else f(state) + mixed
+
+    def max_deviation(state):
+        return np.abs(state - state.sum(axis=0) / g.n).max()
+
+    h = cfg.dt
+    x = np.array(x0, dtype=np.float64).reshape(g.n, cfg.state_dim)
+    states, errors = [x], [max_deviation(x)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, int(round(cfg.t_max / h)) + 1):
+            k1 = deriv(x)
+            k2 = deriv(x + 0.5 * h * k1)
+            k3 = deriv(x + 0.5 * h * k2)
+            k4 = deriv(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            errors.append(max_deviation(x))
+            if not math.isfinite(errors[-1]):
+                raise DivergenceError("state became non-finite", time=float(step * h))
+            states.append(x)
+    return np.array(errors), np.array(states if keep_states else states[-1:])
+
+
+def oracle_case(case):
+    """Graph, settings and start state of one bitwise-oracle case."""
+    if case == "zero_dynamics_ba300":
+        g = generate_ba(BAParams(n=300, m=3, seed=4))
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=4.0, dynamics="zero")
+    elif case == "logistic_two_dim":
+        g = generate_ba(BAParams(n=100, m=2, seed=8))
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=2.0, dynamics="logistic:0.5", state_dim=2)
+        return g, cfg, np.random.default_rng(9).random((g.n, 2))
+    else:
+        g, cfg = sparse_case(case)
+    return g, cfg, np.random.default_rng(7).standard_normal((g.n, cfg.state_dim))
+
+
+class TestBitwiseOracle:
+    """simulate's preallocated stepper gives the allocating loop's bits."""
+
+    @pytest.mark.parametrize(
+        "case", ["zero_dynamics_ba300", *SPARSE_CASES, "logistic_two_dim"]
+    )
+    def test_equals_allocating_loop(self, case):
+        g, cfg, x0 = oracle_case(case)
+        errors, states = allocating_rk4(g, cfg, x0, keep_states=True)
+        kept = simulate(g, cfg, x0, keep_states=True)
+        lean = simulate(g, cfg, x0)
+        assert np.array_equal(kept.sync_error, errors)
+        assert np.array_equal(lean.sync_error, errors)
+        assert np.array_equal(kept.states, states)
+        assert np.array_equal(lean.states[0], states[-1])
+
+    @pytest.mark.parametrize(
+        "g, cfg",
+        [
+            (complete(3), SyncConfig(c=1.0, dt=1.0, t_max=50.0, dynamics="logistic:4.0")),
+            (generate_ba(BAParams(n=300, m=3, seed=4)),
+             SyncConfig(c=1.0, dt=0.1, t_max=1.0, dynamics="linear:1e10")),
+        ],
+        ids=["logistic", "linear-overflow"],
+    )
+    def test_divergence_time_equals_allocating_loop(self, g, cfg):
+        x0 = np.linspace(-40.0, 50.0, g.n)
+        with pytest.raises(DivergenceError) as ref:
+            allocating_rk4(g, cfg, x0)
+        with pytest.raises(DivergenceError) as got:
+            simulate(g, cfg, x0)
+        assert got.value.time == ref.value.time
 
 
 class TestConfigValidation:
@@ -339,10 +444,12 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_rk4_working_set_must_fit_in_memory(self):
-        # one state is a quarter of physical memory; a step holds 8 more
+        # one state is a tenth of physical memory; besides the stored state
+        # the stepper holds 10: x, the 4 stages, tmp, acc and up to 3
+        # temporaries of f or Gamma
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(InputError, match="bytes"):
-            SyncConfig(dt=0.1, t_max=1.0).validate(n=memory // 32)
+            SyncConfig(dt=0.1, t_max=1.0).validate(n=memory // 80)
 
     def test_kept_states_must_fit_in_memory(self):
         # 1e6 steps: 16 MB of times and errors, 80 TB with every state kept
