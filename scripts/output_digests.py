@@ -21,9 +21,10 @@ error with seed 3, and under attack again with ``--record-every 0.005``: a
 long-diameter input unlike the random graphs, and at least 81 recorded
 rows, so their diameters take more than one batch of 64 rows. The grid is
 30x30 at the default ``--n`` and isqrt(n) wide below 900 nodes, but never
-under 9x9, which gives those 81 rows. A summary-only pipeline on the grid
-and on the ``--n`` BA graph reads the forward sweep that runs without
-Brandes' pass. The four edge lists are hashed too.
+under 9x9, which gives those 81 rows. Every summary reads the bit-parallel
+forward sweep and every per-node table the Brandes sweep; a summary-only
+pipeline on the grid and on the ``--n`` BA graph runs the forward sweep
+alone. The four edge lists are hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal

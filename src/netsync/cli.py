@@ -16,7 +16,7 @@ from .edgelist import ingest_edge_list, write_edge_list
 from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
-from .metrics import node_stats, source_sweep, summarize
+from .metrics import node_stats, summarize
 from .powerlaw import distribution_comparison, fit_mle
 from .report import (
     PipelineConfig,
@@ -130,10 +130,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
         _emit(rows_csv(node_stats(g), columns), args.out)
         return 0
-    sweep = source_sweep(g)
     payload = {
-        "summary": summarize(g, sweep),
-        "node_stats": node_stats(g, sweep),
+        "summary": summarize(g),
+        "node_stats": node_stats(g),
         "input": {
             "edge_list": args.edge_list,
             "duplicates_collapsed": result.duplicate_count,

@@ -63,7 +63,8 @@ class FixtureValidation:
 def load_fixture(path: str | Path | None = None) -> list[FixtureRow]:
     """Read the node-statistics fixture; defaults to the packaged copy.
     Undecodable text, a header that lacks a column (an empty file lacks
-    all) or a malformed value is an InputError naming the file."""
+    all), a malformed value or a field over csv's size limit is an
+    InputError naming the file."""
     if path is None:
         file = resources.files("netsync").joinpath("data", FIXTURE_RESOURCE)
     else:
@@ -73,16 +74,18 @@ def load_fixture(path: str | Path | None = None) -> list[FixtureRow]:
     except UnicodeDecodeError as exc:
         raise InputError(f"{file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     reader = csv.DictReader(text.splitlines())
-    missing = [key for key in COLUMNS if key not in (reader.fieldnames or ())]
+    rows = []
+    try:
+        missing = [key for key in COLUMNS if key not in (reader.fieldnames or ())]
+        if not missing:
+            for rec in reader:
+                numbers = (float(rec[key]) for key in NUMBER_COLUMNS)
+                rows.append(FixtureRow(rec["country"], rec["code"], int(rec["degree"]), *numbers))
+    except (csv.Error, TypeError, ValueError) as exc:
+        # the line csv last read, also when it failed to split that line
+        raise InputError(f"{file}:{reader.reader.line_num}: {exc}") from None
     if missing:
         raise InputError(f"{file}: missing column {', '.join(map(repr, missing))}")
-    rows = []
-    for rec in reader:
-        try:
-            numbers = (float(rec[key]) for key in NUMBER_COLUMNS)
-            rows.append(FixtureRow(rec["country"], rec["code"], int(rec["degree"]), *numbers))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{file}:{reader.line_num}: {exc}") from None
     return rows
 
 

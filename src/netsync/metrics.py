@@ -1,10 +1,10 @@
 """Topology metrics and node centralities.
 
-All functions are pure reads of an immutable graph. Betweenness and
-closeness come from one Brandes sweep (``source_sweep``) by sparse matrix
-products, reduced in a fixed block order, which ``summarize`` and
-``node_stats`` can share. Every other BFS runs 64 to a machine word on one
-bit-parallel kernel: path lengths without a shared sweep, and iFUB from a
+All functions are pure reads of an immutable graph, and each metric runs
+its own kernel. Closeness and betweenness come from one Brandes sweep
+(``_brandes``) by sparse matrix products, reduced in a fixed block order.
+Every other BFS runs 64 to a machine word on one bit-parallel kernel: the
+path lengths of ``summarize`` and ``average_path_length``, and iFUB from a
 double-sweep start, which measures ``diameter`` and a stack of resilience
 rows, each a node mask of one graph, with a few BFS on most graphs. Local
 clustering is one sparse triangle count. Eigenvector centrality is power
@@ -33,13 +33,11 @@ _EIGEN_MAX_ITER = 100_000
 
 class Sweep(NamedTuple):
     """Per node, over a BFS from every node: distance sum, nodes reached
-    besides itself, and eccentricity; twice its betweenness when Brandes'
-    pass ran (None otherwise)."""
+    besides itself, and eccentricity."""
 
     dist_sums: np.ndarray
     reached: np.ndarray
     eccentricity: np.ndarray
-    betweenness: np.ndarray | None
 
 
 _WORD = np.dtype("<u8")  # one bit per BFS task; little-endian, so its bytes unpack in task order
@@ -113,23 +111,23 @@ def _forward_sweep(g: Graph) -> Sweep:
             sums += depth * counts
             reached += counts
             np.maximum(ecc, depth * (counts > 0), out=ecc)
-    return Sweep(sums, reached, ecc, None)
+    return Sweep(sums, reached, ecc)
 
 
-def source_sweep(g: Graph) -> Sweep:
+def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Level-synchronous BFS from every node, _BLOCK of them at a time,
-    with Brandes' accumulation.
+    with Brandes' accumulation: each node's exact int64 distance sum and
+    twice its betweenness.
 
     Column j of a block's frontier holds the shortest-path counts sigma of
     the nodes at the current depth from source j; ``A @ frontier`` advances
-    every column one level. Per source: exact int64 distance sums, nodes
-    reached besides the source, and eccentricity. Each block then runs
-    Brandes' backward pass level by level from the deepest,
+    every column one level. Each block then runs Brandes' backward pass
+    level by level from the deepest,
     delta += [level == k-1] * sigma * (A @ ([level == k] * (1 + delta) / sigma)),
     and its per-node dependencies are added to the total in block order.
     Raises NumericalError at the first block whose path counts overflow.
     """
-    sums, reached, ecc = np.zeros((3, g.n), dtype=np.int64)
+    sums = np.zeros(g.n, dtype=np.int64)
     between = np.zeros(g.n)
     a = g.matrix
     for lo in range(0, g.n, _BLOCK):
@@ -150,8 +148,6 @@ def source_sweep(g: Graph) -> Sweep:
                 depth += 1
                 level += np.int32(depth + 1) * new
                 sums[part] += depth * counts
-                reached[part] += counts
-                ecc[part][counts > 0] = depth
                 frontier = paths * new
                 sigma += frontier
         if not np.isfinite(sigma).all():
@@ -162,7 +158,7 @@ def source_sweep(g: Graph) -> Sweep:
             coeff = (1.0 + delta) / sigma * (level == k)
             delta += sigma * (a @ coeff) * (level == k - 1)
         between += delta.sum(axis=1)
-    return Sweep(sums, reached, ecc, between)
+    return sums, between
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     Per-source dependencies are reduced in a fixed block order.
     """
     # each unordered pair was seen from both endpoints
-    return source_sweep(g).betweenness / 2.0
+    return _brandes(g)[1] / 2.0
 
 
 def eigenvector_centrality(g: Graph) -> np.ndarray:
@@ -348,13 +344,12 @@ class GraphSummary:
     component_count: int
 
 
-def summarize(g: Graph, sweep: Sweep | None = None) -> GraphSummary:
+def summarize(g: Graph) -> GraphSummary:
     """Whole-graph statistics; degenerate metrics are reported as None.
-    A sweep of every source (``sweep``, or one run here) gives the path
-    lengths and the diameter."""
+    One forward sweep of every source gives the path lengths and the
+    diameter."""
     parts = connected_components(g)
-    if sweep is None:
-        sweep = _forward_sweep(g)
+    sweep = _forward_sweep(g)
     apl = frac = None
     clust = global_clustering(g) if g.n >= 1 else None
     try:
@@ -377,15 +372,13 @@ def summarize(g: Graph, sweep: Sweep | None = None) -> GraphSummary:
     )
 
 
-def node_stats(g: Graph, sweep: Sweep | None = None) -> list[NodeStats]:
+def node_stats(g: Graph) -> list[NodeStats]:
     """Per-node table: degree, clustering, closeness, betweenness,
-    eigenvector centrality. Closeness and betweenness come from one sweep
-    of every source with Brandes' pass (``sweep``, or one run here)."""
-    if sweep is None:
-        sweep = source_sweep(g)
-    sums = sweep.dist_sums
+    eigenvector centrality. Closeness and betweenness come from one
+    Brandes sweep of every source."""
+    sums, twice_between = _brandes(g)
     closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
-    betweenness = sweep.betweenness / 2.0
+    betweenness = twice_between / 2.0
     if g.m > 0:
         eigen = eigenvector_centrality(g)
     else:

@@ -3,8 +3,7 @@
 A pipeline run ingests or generates a graph, executes the requested stages
 (summary, centralities, fit, spectral, resilience) in the order the config
 lists them, and embeds each stage's output in a single report; no stage
-reads another's output, so the report does not depend on that order. The
-summary and centralities stages share one BFS sweep of every source. A
+reads another's output, so the report does not depend on that order. A
 failing stage is recorded under ``errors`` without aborting the others.
 
 Result dataclasses serialize themselves: ``to_plain`` turns one into JSON
@@ -24,10 +23,10 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Sequence, TextIO
 
 from .edgelist import ingest_edge_list
-from .errors import InputError, NumericalError, ToolkitError
+from .errors import InputError, ToolkitError
 from .generators import BAParams, ERParams, generate_ba, generate_er
 from .graph import Graph
-from .metrics import GraphSummary, NodeStats, node_stats, source_sweep, summarize
+from .metrics import GraphSummary, NodeStats, node_stats, summarize
 from .powerlaw import PowerLawFit, fit_mle
 from .resilience import (
     EnsembleTrace,
@@ -133,7 +132,7 @@ def _generator_params(gen: Any) -> BAParams | ERParams:
     if not isinstance(gen, dict) or "model" not in gen:
         raise InputError(f"{path}.model: required ('ba' or 'er')")
     model = gen["model"]
-    if model not in _GENERATOR_KEYS:
+    if not isinstance(model, str) or model not in _GENERATOR_KEYS:
         raise InputError(f"{path}.model: expected 'ba' or 'er', got {model!r}")
     _known_keys(gen, f"{path}.", _GENERATOR_KEYS[model])
     if "edges" in gen and "m" in gen:
@@ -200,22 +199,12 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         provenance["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = AnalysisReport(provenance=provenance)
 
-    # one Brandes sweep serves summary and centralities when centralities are
-    # asked for; its overflow costs only that stage, and the summary then
-    # runs its own forward sweep
-    sweep = None
-    if "centralities" in cfg.stages:
-        try:
-            sweep = source_sweep(graph)
-        except NumericalError as exc:
-            report.errors["centralities"] = str(exc)
-
     for stage in cfg.stages:
         try:
             if stage == "summary":
-                report.summary = summarize(graph, sweep)
-            elif stage == "centralities" and "centralities" not in report.errors:
-                report.node_stats = node_stats(graph, sweep)
+                report.summary = summarize(graph)
+            elif stage == "centralities":
+                report.node_stats = node_stats(graph)
             elif stage == "fit":
                 report.fit = fit_mle(graph.degrees())
             elif stage == "spectral":

@@ -1,10 +1,15 @@
+import copy
 import csv
+import functools
 import json
+import math
+import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsync.cli import main
@@ -337,8 +342,13 @@ class TestExitCodes:
             (FIXTURE_HEADER + "Italy,IT,38\n", ":2: float() argument"),
             ("0 1\n1 2\n", "missing column 'country', 'code', 'degree', 'clustering'"),
             ("", "missing column 'country', 'code', 'degree', 'clustering'"),
+            (FIXTURE_HEADER + "Italy,IT,38,0.38,0.0172,168.31,1.00\n"
+             + "Spain,ES," + "9" * 131_073 + ",0.5,0.01,1.0,0.5\n",
+             ":3: field larger than field limit"),
+            ("x" * 131_073 + "," + FIXTURE_HEADER, ":1: field larger than field limit"),
         ],
-        ids=["missing-column", "bad-degree", "short-row", "edge-list", "empty"],
+        ids=["missing-column", "bad-degree", "short-row", "edge-list", "empty",
+             "overlong-field", "overlong-header"],
     )
     def test_malformed_fixture_is_input_error(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.csv"
@@ -435,6 +445,110 @@ def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory
     assert code in {0, 1, 2, 3}, argv
 
 
+# a wrongly typed or out-of-range JSON value, tried in place of every config
+# field; ABSENT leaves the key out
+WRONG_JSON = [[], {}, "x", True, None, -1, math.nan]
+ABSENT = object()
+# the valid values of each top-level config field: at most 30 nodes and 3
+# seeds, and the edge lists of tiny_edge_lists, named relative to their
+# directory, or a missing file
+CONFIG_VALUES = {
+    "input": [
+        {"generate": {"model": "ba", "n": 30, "m": 2}},
+        {"generate": {"model": "ba", "n": 30, "m": 2, "m0": 3, "seed": 1}},
+        {"generate": {"model": "er", "n": 30, "edges": 40}},
+        {"generate": {"model": "er", "n": 30, "m": 40, "seed": 2}},
+        *({"edge_list": f"{name}.edges"} for name in ("ba", "k4", "loop", "empty", "none")),
+    ],
+    "stages": ["all", [], ["summary", "centralities"], ["fit", "spectral"],
+               ["resilience", "summary"]],
+    "deterministic": [True, False],
+    "resilience": [{}, {"strategy": "attack", "record_every": 1},
+                   {"strategy": "error", "seeds": 3, "seed": 2, "record_every": 0.25}],
+}
+
+
+def key_paths(obj, prefix=()):
+    """The key path of every field of a JSON object, nested ones included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@st.composite
+def configs(draw):
+    """A valid config with at most one field, at any depth, set to a value
+    of WRONG_JSON or left out."""
+    config = copy.deepcopy({key: draw(st.sampled_from(values))
+                            for key, values in CONFIG_VALUES.items()})
+    path = draw(st.none() | st.sampled_from(list(key_paths(config))))
+    if path is not None:
+        *outer, key = path
+        obj = functools.reduce(dict.__getitem__, outer, config)
+        value = draw(st.sampled_from([*WRONG_JSON, ABSENT]))
+        if value is ABSENT:
+            del obj[key]
+        else:
+            obj[key] = value
+    return config
+
+
+@given(config=configs(), flag=st.booleans())
+@example(config={"input": {"generate": {"model": []}}}, flag=False)
+@settings(max_examples=60, deadline=None)
+def test_every_config_gives_an_exit_code(tiny_edge_lists, config, flag):
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(tiny_edge_lists[0]))
+    try:
+        with open("cfg.json", "w") as fh:
+            json.dump(config, fh)
+        argv = ["pipeline", "--config", "cfg.json", "--out", "report.json"]
+        code = main(argv + (["--deterministic"] if flag else []))
+    finally:
+        os.chdir(cwd)
+    assert code in {0, 1, 2, 3}, config
+
+
+PACKAGED_FIXTURE = (resources.files("netsync") / "data" / "een_node_stats.csv").read_text()
+# a cell value tried in a fixture; the last is over csv's field size limit
+CELLS = ["", "x", "-1", "0", "nan", "inf", "1e309", "2.5", '"', '"a,b"', "\x00", "9" * 131_073]
+
+
+@st.composite
+def fixture_texts(draw):
+    """The packaged fixture with up to three cells, rows or header names
+    changed, dropped, copied, cut short or extended."""
+    rows = [line.split(",") for line in PACKAGED_FIXTURE.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))  # row 0 is the header
+        change = draw(st.sampled_from(["cell", "drop", "copy", "cut", "extend"]))
+        if change == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(CELLS))
+        elif change == "drop":
+            del rows[r]
+        elif change == "copy":
+            rows.insert(r, list(rows[r]))
+        elif change == "cut":
+            rows[r] = rows[r][: draw(st.integers(0, len(rows[r]) - 1))] or [""]
+        else:
+            rows[r].append(draw(st.sampled_from(CELLS)))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@given(text=fixture_texts())
+@example(text=PACKAGED_FIXTURE.replace("Italy,IT,38,", "Italy,IT," + "9" * 131_073 + ","))
+@settings(max_examples=60, deadline=None)
+def test_every_fixture_text_gives_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fixture.csv"
+    path.write_text(text)
+    code = main(["validate", "--fixture", str(path),
+                 "--out", str(tmp_path_factory.getbasetemp() / "validate.txt")])
+    assert code in {0, 1, 2, 3}
+
+
 class TestPipelineConfigErrors:
     """Every malformed config is an input error (exit 2) naming its field."""
 
@@ -498,6 +612,8 @@ class TestPipelineConfigErrors:
             ({"model": "er", "n": 20, "edges": 40, "m": 40}, "input.generate.m"),
             ({"model": "er", "n": 20, "m": 40, "m0": 3}, "input.generate.m0"),
             ({"model": "ba", "n": 20, "m": 2, "edges": 40}, "input.generate.edges"),
+            ({"model": []}, "input.generate.model"),
+            ({"model": {}}, "input.generate.model"),
         ],
     )
     def test_bad_generator_field(self, tmp_path, capsys, generate, field):

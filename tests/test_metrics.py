@@ -19,7 +19,6 @@ from netsync.metrics import (
     global_clustering,
     local_clustering,
     node_stats,
-    source_sweep,
     summarize,
 )
 
@@ -358,16 +357,6 @@ class TestSummary:
         assert abs(sum(s.degree_distribution.values()) - 1.0) < 1e-12
 
 
-class TestSharedSweep:
-    def test_summary_and_table_read_one_brandes_sweep(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = random_graph(rng, max_n=9)
-            sweep = source_sweep(g)
-            assert summarize(g, sweep) == summarize(g)
-            assert node_stats(g, sweep) == node_stats(g)
-
-
 class TestNodeStats:
     def test_star_rows(self):
         rows = node_stats(star(4))
@@ -610,10 +599,8 @@ def test_forward_sweep_matches_networkx(name):
 @pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated"])
 def test_forward_sweep_equals_the_brandes_sweep(name):
     g = KERNEL_GRAPHS[name]()
-    forward, brandes = metrics._forward_sweep(g), source_sweep(g)
-    for got, expected in zip(forward[:3], brandes[:3]):
-        assert got.dtype == expected.dtype and (got == expected).all()
-    assert forward.betweenness is None
+    got, expected = metrics._forward_sweep(g).dist_sums, metrics._brandes(g)[0]
+    assert got.dtype == expected.dtype and (got == expected).all()
 
 
 @pytest.mark.parametrize("name", ["cycle_with_tails", "grid30", "tied_isolated"])

@@ -155,7 +155,7 @@ class TestPipeline:
         def overflowing(g):
             raise NumericalError("shortest-path counts overflow float64")
 
-        monkeypatch.setattr(netsync.report, "source_sweep", overflowing)
+        monkeypatch.setattr(netsync.metrics, "_brandes", overflowing)
         report = run_pipeline(er_config(stages=["summary", "centralities"]))
         assert report.errors == {"centralities": "shortest-path counts overflow float64"}
         assert report.node_stats is None
@@ -218,24 +218,29 @@ class TestReportSchema:
 def test_one_sweep_of_every_source(monkeypatch, tmp_path):
     # each Brandes sweep of every source is counted; the forward sweeps of
     # the summary and the resilience rows run on the bit-parallel kernel
-    real = netsync.metrics.source_sweep
+    real = netsync.metrics._brandes
     full = []
 
     def counting(g):
         full.append(True)
         return real(g)
 
-    for module in (netsync.metrics, netsync.report, netsync.cli):
-        monkeypatch.setattr(module, "source_sweep", counting)
+    monkeypatch.setattr(netsync.metrics, "_brandes", counting)
     run_pipeline(er_config())
     assert full == [True]
 
     full.clear()
+    run_pipeline(er_config(stages=["summary"]))
+    assert full == []
+
     edges = tmp_path / "er.edges"
     write_edge_list(generate_er(ERParams(n=49, m=351, seed=3)), edges)
-    out = tmp_path / "analyze.json"
-    assert netsync.cli.main(["analyze", "--edge-list", str(edges), "--out", str(out)]) == 0
-    assert full == [True]
+    for fmt in ("json", "csv"):
+        full.clear()
+        out = tmp_path / f"analyze.{fmt}"
+        argv = ["analyze", "--edge-list", str(edges), "--format", fmt, "--out", str(out)]
+        assert netsync.cli.main(argv) == 0
+        assert full == [True], fmt
 
 
 class TestTrajectoryCsv:

@@ -346,7 +346,7 @@ def test_one_block_builds_no_subgraph_and_runs_no_sweep(monkeypatch):
     for module, name in [(graph, "induced_subgraph"),
                          (graph, "connected_components"),
                          (metrics, "connected_components"),
-                         (metrics, "source_sweep")]:
+                         (metrics, "_brandes")]:
         monkeypatch.setattr(module, name, refuse)
     for n in (2, 49, 64, 65, 1000):
         g = generate_er(ERParams(n=n, m=min(n * (n - 1) // 2, n), seed=1))
