@@ -16,15 +16,17 @@ graph from ``input.generate`` and run every stage with a one-seed error run
 (seed 2): ER(49, 351, seed 3) with its edge count as ``edges`` and as the
 alias ``m``, and BA(49, m=8, seed 5) with the default core and with ``m0``
 10. On a square grid, whose
-edge list the script writes itself, ``resilience`` runs under attack and
-error with seed 3, and under attack again with ``--record-every 0.005``: a
-long-diameter input unlike the random graphs, and at least 81 recorded
-rows, so their diameters take more than one batch of 64 rows. The grid is
-30x30 at the default ``--n`` and isqrt(n) wide below 900 nodes, but never
-under 9x9, which gives those 81 rows. Every summary reads the bit-parallel
-forward sweep and every per-node table the Brandes sweep; a summary-only
-pipeline on the grid and on the ``--n`` BA graph runs the forward sweep
-alone. The four edge lists are hashed too.
+edge list the script writes itself, ``analyze`` (JSON) runs, and
+``resilience`` under attack and error with seed 3, and under attack again
+with ``--record-every 0.005``: a long-diameter input unlike the random
+graphs, and at least 81 recorded rows, so their diameters take more than
+one batch of 64 rows. The grid is 30x30 at the default ``--n`` and
+isqrt(n) wide below 900 nodes, but never under 9x9, which gives those 81
+rows. Every summary reads the bit-parallel forward sweep and every
+per-node table the Brandes sweep, which on the grid runs one product per
+level over dozens of levels; a summary-only pipeline on the grid and on
+the ``--n`` BA graph runs the forward sweep alone. The four edge lists are
+hashed too.
 
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
@@ -93,6 +95,7 @@ def commands(n: int) -> list[list[str]]:
     ]
     grid = ["resilience", "--edge-list", "grid.edges", "--strategy"]
     argvs += [
+        ["analyze", "--edge-list", "grid.edges", "--out", "grid.analyze.json"],
         [*grid, "attack", "--out", "grid.attack.csv"],
         [*grid, "error", "--seed", "3", "--out", "grid.error.csv"],
         [*grid, "attack", "--record-every", "0.005", "--out", "grid.attack_fine.csv"],

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: ``parse_args`` keeps no state between
+    calls, and every call gets a new namespace filled with the defaults."""
     parser = argparse.ArgumentParser(
         prog="netsync",
         description="Complex-network toolkit: generation, metrics, power-law "

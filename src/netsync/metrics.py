@@ -1,14 +1,16 @@
 """Topology metrics and node centralities.
 
 All functions are pure reads of an immutable graph, and each metric runs
-its own kernel. Closeness and betweenness come from one Brandes sweep
-(``_brandes``) by sparse matrix products, reduced in a fixed block order.
-Every other BFS runs 64 to a machine word on one bit-parallel kernel: the
-path lengths of ``summarize`` and ``average_path_length``, and iFUB from a
-double-sweep start, which measures ``diameter`` and a stack of resilience
-rows, each a node mask of one graph, with a few BFS on most graphs. Local
-clustering is one sparse triangle count. Eigenvector centrality is power
-iteration on the adjacency matrix of the largest component.
+its own kernel. Every BFS runs 64 to a machine word on one bit-parallel
+kernel: the path lengths of ``summarize`` and ``average_path_length``;
+iFUB from a double-sweep start, which measures ``diameter`` and a stack of
+resilience rows, each a node mask of one graph, with a few BFS on most
+graphs; and the levels of Brandes' sweep (``_brandes``), which gives
+closeness and betweenness. That sweep counts shortest paths and
+accumulates dependencies by sparse products on each level's rows, and
+reduces them in a fixed block order. Local clustering is one sparse
+triangle count. Eigenvector centrality is power iteration on the adjacency
+matrix of the largest component.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from scipy.sparse import _sparsetools, csr_matrix
 
 from .errors import DegenerateInputError, InputError, NumericalError
 from .graph import Graph, connected_components
@@ -114,50 +117,82 @@ def _forward_sweep(g: Graph) -> Sweep:
     return Sweep(sums, reached, ecc)
 
 
-def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Level-synchronous BFS from every node, _BLOCK of them at a time,
-    with Brandes' accumulation: each node's exact int64 distance sum and
-    twice its betweenness.
+def _product_rows(
+    a: csr_matrix, x: np.ndarray, out: np.ndarray, width: int, pairs: np.ndarray
+) -> None:
+    """``out = A @ x`` on the rows from the first to the last node of
+    ``pairs``, flat indices into C-ordered (n, width) arrays such as ``x``
+    and ``out``; other rows of ``out`` keep their values. The rows are
+    zeroed and given to ``csr_matvecs``, the kernel that ``A @ x`` calls,
+    which adds each row's products to them in CSR order."""
+    first, end = pairs[0] // width, pairs[-1] // width + 1
+    rows = out[first * width : end * width]
+    rows.fill(0.0)
+    _sparsetools.csr_matvecs(end - first, a.shape[1], width, a.indptr[first : end + 1],
+                             a.indices, a.data, x, rows)
 
-    Column j of a block's frontier holds the shortest-path counts sigma of
-    the nodes at the current depth from source j; ``A @ frontier`` advances
-    every column one level. Each block then runs Brandes' backward pass
-    level by level from the deepest,
-    delta += [level == k-1] * sigma * (A @ ([level == k] * (1 + delta) / sigma)),
-    and its per-node dependencies are added to the total in block order.
+
+def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Brandes' sweep of every node, _BLOCK sources at a time: each node's
+    exact int64 distance sum and twice its betweenness.
+
+    ``_bit_levels`` gives each block's BFS levels. The distance sums count
+    the bits of each level's words, as in ``_forward_sweep``: as d(s, v) =
+    d(v, s), they are each node's sums over every source. A level is
+    kept as its (node, source) pairs, flat indices into the block's
+    C-ordered (n, sources) arrays, with the shortest-path counts sigma of
+    its pairs: A @ frontier, where the frontier holds the previous level's
+    sigma and zeros, gives them. The backward pass then runs level by level
+    from the deepest,
+    delta += [level k-1] * sigma * (A @ ([level k] * (1 + delta) / sigma)),
+    and each block's per-node dependencies are added to the total in block
+    order.
+
+    Each product (``_product_rows``) computes only the rows from the first
+    to the last node of the level it feeds, each with the bits that the
+    allocating ``A @ x`` gives it, so every pair gets the bits of the dense
+    expressions above; three (n, sources) buffers serve every block.
     Raises NumericalError at the first block whose path counts overflow.
     """
-    sums = np.zeros(g.n, dtype=np.int64)
-    between = np.zeros(g.n)
+    n = g.n
+    sums = np.zeros(n, dtype=np.int64)
+    between = np.zeros(n)
     a = g.matrix
-    for lo in range(0, g.n, _BLOCK):
-        block = np.arange(lo, min(lo + _BLOCK, g.n))
-        part = slice(lo, lo + len(block))
-        level = np.full((g.n, len(block)), -1, dtype=np.int32)
-        level[block, np.arange(len(block))] = 0
-        sigma = (level == 0).astype(np.float64)
-        frontier, depth = sigma, 0
-        # an overflow of sigma is reported once the block's levels are known
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                paths = a @ frontier
-                new = (paths > 0) & (level < 0)
-                counts = np.count_nonzero(new, axis=0)
-                if not counts.any():
-                    break
-                depth += 1
-                level += np.int32(depth + 1) * new
-                sums[part] += depth * counts
-                frontier = paths * new
-                sigma += frontier
-        if not np.isfinite(sigma).all():
-            raise NumericalError("shortest-path counts overflow float64")
-        sigma[level < 0] = 1.0  # unreached: never read, kept off zero
-        delta = np.zeros_like(sigma)
-        for k in range(depth, 1, -1):
-            coeff = (1.0 + delta) / sigma * (level == k)
-            delta += sigma * (a @ coeff) * (level == k - 1)
-        between += delta.sum(axis=1)
+    buffers = np.empty((3, n * _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        block = np.arange(lo, min(lo + _BLOCK, n))
+        width = len(block)
+        frontier, paths, delta = flat = buffers[:, : n * width]
+        flat.fill(0.0)
+        pairs = block * width + np.arange(width)
+        frontier[pairs] = 1.0
+        levels = []
+        for depth, new in enumerate(_bit_levels(g, block), start=1):
+            rows = np.flatnonzero(new)
+            words = new[rows]
+            counts = np.bitwise_count(words).astype(np.int64)
+            sums[rows] += depth * counts
+            # bit t of words[i] unpacks to position 64 i + t; its pair is
+            # entry width * rows[i] + t
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+            shift = width * rows - 64 * np.arange(len(rows))
+            new_pairs = np.flatnonzero(bits) + shift.repeat(counts)
+            _product_rows(a, frontier, paths, width, new_pairs)
+            frontier[pairs] = 0.0
+            pairs = new_pairs
+            frontier[pairs] = sigma = paths[pairs]
+            if not np.isfinite(sigma).all():
+                raise NumericalError("shortest-path counts overflow float64")
+            levels.append((pairs, sigma))
+        # back from the deepest level; the frontier carries (1 + delta) / sigma
+        for k in range(len(levels) - 1, 0, -1):
+            pairs, sigma = levels[k]
+            frontier[pairs] = (1.0 + delta[pairs]) / sigma
+            up, up_sigma = levels[k - 1]
+            _product_rows(a, frontier, paths, width, up)
+            frontier[pairs] = 0.0
+            delta[up] += up_sigma * paths[up]
+        between += delta.reshape(n, width).sum(axis=1)
     return sums, between
 
 

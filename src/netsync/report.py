@@ -72,7 +72,9 @@ class PipelineConfig:
         if ("edge_list" in inp) == ("generate" in inp):
             raise InputError("input: exactly one of 'edge_list' or 'generate'")
         if "edge_list" in inp:
-            cfg.edge_list = str(inp["edge_list"])
+            if not isinstance(inp["edge_list"], str):
+                raise InputError(f"input.edge_list: expected a path, got {inp['edge_list']!r}")
+            cfg.edge_list = inp["edge_list"]
         else:
             cfg.generate = _generator_params(inp["generate"])
 

@@ -192,8 +192,7 @@ class SyncConfig:
         # times and errors; kept states (or the last); the stepper's working
         # set of 10 states: x, the 4 stages, tmp and acc, and at most 3
         # temporaries at a time, those of f (logistic holds r*x, 1-x and
-        # their product), which outnumber Gamma's one copy and the two of
-        # the deviation measure
+        # their product), which outnumber Gamma's one copy
         rows = steps + 1.0
         floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 10)
         check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
@@ -240,10 +239,17 @@ def simulate(
         gamma_t = np.asarray(gamma, dtype=np.float64).T
     coupling = cfg.c * _coupling_operator(g)
     n, dim = x.shape
+    tmp = np.empty((n, dim))
+    centre = np.empty(dim)
+    count = np.float64(n)
 
     def max_deviation(state: np.ndarray) -> np.float64:
-        # sum / n is bitwise equal to state.mean(axis=0)
-        return np.abs(state - state.sum(axis=0) / n).max()
+        # into centre and tmp, which hold nothing between steps; the column
+        # sums over count are bitwise state.mean(axis=0)
+        np.add.reduce(state, axis=0, out=centre)
+        np.divide(centre, count, out=centre)
+        np.subtract(state, centre, out=tmp)
+        return np.maximum.reduce(np.abs(tmp, out=tmp), axis=None)
 
     steps = int(round(cfg.t_max / cfg.dt))
     times = np.arange(steps + 1) * cfg.dt
@@ -261,7 +267,6 @@ def simulate(
     # are that expression's bits. The kernel reads a C-ordered state.
     x = np.ascontiguousarray(x)
     ks = np.empty((4, n, dim))
-    tmp = np.empty((n, dim))
     acc = np.empty((n, dim))
     k1, k2, k3, k4 = ks
     k1_flat, k2_flat, k3_flat, k4_flat = ks.reshape(4, -1)

@@ -5,6 +5,8 @@ by exhaustively enumerating every simple path between every pair, and
 distances come from the same enumeration. Only usable on tiny graphs. A
 per-node queue BFS, the closeness read from it, and a per-node count of the
 links among a node's neighbors serve graphs too large to enumerate.
+``dense_brandes`` is the dense form of the library's Brandes sweep, whose
+bits the library must reproduce.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import itertools
 import math
 from collections import deque
 
-from netsync.errors import DegenerateInputError
+import numpy as np
+
+from netsync.errors import DegenerateInputError, NumericalError
 from netsync.graph import Graph
 
 
@@ -101,3 +105,41 @@ def local_clustering(g: Graph, i: int) -> float:
             if v > u and v in nbr_set:
                 links += 1
     return 2.0 * links / (k * (k - 1))
+
+
+def dense_brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Brandes' sweep on dense (n, 64) matrices, 64 sources at a time: an
+    int32 depth per node and source, and one allocating ``A @ x`` per level,
+    forward and back. Returns each node's int64 distance sum and twice its
+    betweenness."""
+    sums = np.zeros(g.n, dtype=np.int64)
+    between = np.zeros(g.n)
+    a = g.matrix
+    for lo in range(0, g.n, 64):
+        block = np.arange(lo, min(lo + 64, g.n))
+        part = slice(lo, lo + len(block))
+        level = np.full((g.n, len(block)), -1, dtype=np.int32)
+        level[block, np.arange(len(block))] = 0
+        sigma = (level == 0).astype(np.float64)
+        frontier, depth = sigma, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                paths = a @ frontier
+                new = (paths > 0) & (level < 0)
+                counts = np.count_nonzero(new, axis=0)
+                if not counts.any():
+                    break
+                depth += 1
+                level += np.int32(depth + 1) * new
+                sums[part] += depth * counts
+                frontier = paths * new
+                sigma += frontier
+        if not np.isfinite(sigma).all():
+            raise NumericalError("shortest-path counts overflow float64")
+        sigma[level < 0] = 1.0  # unreached: never read, kept off zero
+        delta = np.zeros_like(sigma)
+        for k in range(depth, 1, -1):
+            coeff = (1.0 + delta) / sigma * (level == k)
+            delta += sigma * (a @ coeff) * (level == k - 1)
+        between += delta.sum(axis=1)
+    return sums, between

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsync.cli import main
+from netsync.cli import build_parser, main
 from netsync.edgelist import ingest_edge_list
 
 
@@ -154,6 +154,22 @@ def test_sync_full_states(tmp_path):
                  "1.0", "--full", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "t,sync_error,node0_s0,node1_s0"
+
+
+def test_one_parser_keeps_nothing_between_calls(ba_file, tmp_path):
+    # the parser is built once per process; each call still starts from
+    # the defaults
+    assert build_parser() is build_parser()
+    short, default = tmp_path / "short.csv", tmp_path / "default.csv"
+    sync = ["sync", "--edge-list", str(ba_file)]
+    assert main([*sync, "--tmax", "5", "--out", str(short)]) == 0
+    assert main([*sync, "--out", str(default)]) == 0
+    assert len(short.read_text().splitlines()) == 1 + 501
+    assert len(default.read_text().splitlines()) == 1 + 5001  # --tmax 50
+
+    res = ["resilience", "--edge-list", str(ba_file), "--strategy"]
+    assert main([*res, "error", "--seed", "3", "--out", str(tmp_path / "error.csv")]) == 0
+    assert main([*res, "attack", "--out", str(tmp_path / "attack.csv")]) == 0
 
 
 def test_validate_shipped_fixture(capsys):
@@ -635,6 +651,14 @@ class TestPipelineConfigErrors:
         cfg = dict(self.GOOD, stages=stages)
         code, err = self.run(tmp_path, capsys, json.dumps(cfg))
         assert code == 2 and message in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("edge_list", [None, True, [], 3],
+                             ids=["null", "true", "list", "number"])
+    def test_edge_list_must_be_a_string(self, tmp_path, capsys, edge_list):
+        cfg = dict(self.GOOD, input={"edge_list": edge_list})
+        code, err = self.run(tmp_path, capsys, json.dumps(cfg))
+        assert code == 2 and "input.edge_list:" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_unknown_input_field(self, tmp_path, capsys):

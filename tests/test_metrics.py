@@ -26,6 +26,7 @@ from oracles import (
     brute_force_betweenness,
     brute_force_distance,
     closeness_centrality,
+    dense_brandes,
     shortest_path_lengths,
 )
 from oracles import local_clustering as clustering_by_counting
@@ -531,9 +532,17 @@ def test_clustering_matches_networkx(name):
     assert [r.clustering for r in node_stats(g)] == got.tolist()
 
 
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+BETWEENNESS_GRAPHS = {
+    **DIFFERENTIAL_GRAPHS,
+    "grid30": DIAMETER_GRAPHS["grid30"],
+    "path200": lambda: path(200),
+    "isolated_first_and_middle": lambda: with_isolated(100, [0, 40, 41, 63, 64]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETWEENNESS_GRAPHS))
 def test_betweenness_matches_networkx(name):
-    g = DIFFERENTIAL_GRAPHS[name]()
+    g = BETWEENNESS_GRAPHS[name]()
     nx = pytest.importorskip("networkx")
     expected = nx.betweenness_centrality(to_networkx(g), normalized=False)
     got = betweenness_centrality(g)
@@ -601,6 +610,48 @@ def test_forward_sweep_equals_the_brandes_sweep(name):
     g = KERNEL_GRAPHS[name]()
     got, expected = metrics._forward_sweep(g).dist_sums, metrics._brandes(g)[0]
     assert got.dtype == expected.dtype and (got == expected).all()
+
+
+SWEEP_ORACLE_GRAPHS = {
+    "ba1000": lambda: generate_ba(BAParams(n=1000, m=3, seed=1)),
+    **{f"ba{n}": KERNEL_GRAPHS[f"ba{n}"] for n in (63, 64, 65, 129)},
+    "isolated_first_and_middle": KERNEL_GRAPHS["isolated_first_and_middle"],
+    "isolated_last": KERNEL_GRAPHS["isolated_last"],
+    "no_edges": KERNEL_GRAPHS["no_edges"],
+    "tied": tied_components,
+    "grid30": DIAMETER_GRAPHS["grid30"],
+    "path200": lambda: path(200),
+    "er49": lambda: generate_er(ERParams(n=49, m=351, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ORACLE_GRAPHS))
+def test_brandes_equals_the_dense_sweep_bitwise(name):
+    # the dense form keeps an int32 depth matrix and allocates every A @ x;
+    # the sweep must give its distance sums and betweenness to the bit
+    g = SWEEP_ORACLE_GRAPHS[name]()
+    for got, expected in zip(metrics._brandes(g), dense_brandes(g)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_brandes_equals_the_dense_sweep_on_random_forests(data):
+    # random trees whose parent lies within ``reach`` ids (1: a path), with
+    # extra edges and some nodes left out of the tree: components and
+    # isolated nodes fall anywhere across the blocks
+    n = data.draw(st.integers(1, 200))
+    reach = data.draw(st.integers(1, n))
+    left_out = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n // 3)))
+    edges = [(i, data.draw(st.integers(max(0, i - reach), i - 1))) for i in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += data.draw(st.lists(pairs, max_size=n // 2))
+    g = Graph(n, sorted({(min(e), max(e)) for e in edges
+                         if e[0] != e[1] and not left_out & set(e)}))
+    for got, expected in zip(metrics._brandes(g), dense_brandes(g)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", ["cycle_with_tails", "grid30", "tied_isolated"])
