@@ -11,9 +11,9 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
-from .graph import ComponentPartition, Graph, connected_components, induced_subgraph
+from .graph import ComponentPartition, Graph, connected_components
 from .edgelist import ingest_edge_list, parse_edge_list, serialize_edge_list, write_edge_list
-from .generators import BAParams, ERParams, attachment_probabilities, generate_ba, generate_er
+from .generators import BAParams, ERParams, generate_ba, generate_er
 from .metrics import (
     GraphSummary,
     NodeStats,

@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sync.add_argument("--c", type=float, default=1.0)
     p_sync.add_argument("--dt", type=float, default=0.01)
     p_sync.add_argument("--tmax", type=float, default=50.0)
-    p_sync.add_argument("--tol", type=float, default=1e-6)
     p_sync.add_argument("--state-dim", type=int, default=1)
     p_sync.add_argument("--full", action="store_true", help="include per-node states")
 
@@ -185,7 +184,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         c=args.c,
         dt=args.dt,
         t_max=args.tmax,
-        tol=args.tol,
         state_dim=args.state_dim,
         dynamics=args.dynamics,
     )

@@ -2,8 +2,8 @@
 
 Format: one edge per line, two whitespace- or comma-separated node labels;
 lines starting with '#' (and blank lines) are ignored. Labels are mapped to
-dense integer ids in first-appearance order, and the label <-> id mapping is
-part of every ingestion result.
+dense integer ids in first-appearance order; the graph keeps them as
+``Graph.labels``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .graph import Graph
 @dataclass
 class IngestResult:
     graph: Graph
-    id_to_label: list[str]
-    label_to_id: dict[str, int]
     duplicate_count: int
     warnings: list[str] = field(default_factory=list)
 
@@ -37,8 +35,8 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
     Duplicate pairs (in either orientation) are collapsed and counted;
     self-pairs are rejected with their line numbers.
     """
-    label_to_id: dict[str, int] = {}
-    id_to_label: list[str] = []
+    labels: list[str] = []
+    id_of: dict[str, int] = {}
     edges: set[tuple[int, int]] = set()
     duplicates = 0
     self_loop_lines: list[int] = []
@@ -56,10 +54,10 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
             )
         ids = []
         for tok in tokens:
-            if tok not in label_to_id:
-                label_to_id[tok] = len(id_to_label)
-                id_to_label.append(tok)
-            ids.append(label_to_id[tok])
+            if tok not in id_of:
+                id_of[tok] = len(labels)
+                labels.append(tok)
+            ids.append(id_of[tok])
         u, v = ids
         if u == v:
             self_loop_lines.append(lineno)
@@ -75,11 +73,11 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
         raise ValidationError(
             f"{source}: self-loop edge(s) on line(s) {shown}"
         )
-    if not edges and not id_to_label:
+    if not edges and not labels:
         warnings.append(f"{source}: no edges found, graph is empty")
 
-    graph = Graph(len(id_to_label), edges, labels=id_to_label)
-    return IngestResult(graph, id_to_label, label_to_id, duplicates, warnings)
+    graph = Graph(len(labels), edges, labels=labels)
+    return IngestResult(graph, duplicates, warnings)
 
 
 def ingest_edge_list(path: str | Path) -> IngestResult:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, check_memory
+from .errors import InputError, check_memory
 from .graph import Graph
 
 
@@ -71,19 +71,6 @@ class ERParams:
                 f"edge count {self.m} outside [0, {max_edges}] for n={self.n}"
             )
         _check_graph_memory("ER", self.n, self.m)
-
-
-def attachment_probabilities(degrees: list[int] | np.ndarray) -> np.ndarray:
-    """Probability that a new node attaches to each existing node,
-    proportional to current degree: k_i / sum_j k_j."""
-    k = np.asarray(degrees, dtype=np.float64)
-    if k.size == 0 or not np.any(k > 0):
-        raise DegenerateInputError(
-            "attachment probabilities undefined for an all-zero degree vector"
-        )
-    if np.any(k < 0):
-        raise InputError("degrees must be non-negative")
-    return k / k.sum()
 
 
 def generate_ba(p: BAParams) -> Graph:

@@ -2,9 +2,7 @@
 
 Storage is one scipy CSR adjacency matrix (``Graph.matrix``): float64 ones,
 each edge stored in both directions, column indices sorted within each row.
-Every module reads that matrix; graphs are immutable after construction. A
-subgraph (``induced_subgraph``) is a new graph whose ids are renumbered
-densely in the order the kept nodes are given.
+Every module reads that matrix; graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -131,15 +129,12 @@ class ComponentPartition:
     def count(self) -> int:
         return len(self.sizes)
 
-    def members(self, comp: int) -> list[int]:
-        return [i for i, c in enumerate(self.component_of) if c == comp]
-
     def largest(self) -> list[int]:
         """Node ids of a largest component (ties: smallest component id)."""
         if not self.sizes:
             return []
         best = max(range(len(self.sizes)), key=lambda c: (self.sizes[c], -c))
-        return self.members(best)
+        return [i for i, c in enumerate(self.component_of) if c == best]
 
 
 def connected_components(g: Graph) -> ComponentPartition:
@@ -163,25 +158,3 @@ def connected_components(g: Graph) -> ComponentPartition:
                     queue.append(v)
         sizes.append(size)
     return ComponentPartition(comp, sizes)
-
-
-def induced_subgraph(g: Graph, nodes: Sequence[NodeId]) -> Graph:
-    """Subgraph on ``nodes``; ids are remapped to 0..len(nodes)-1 in the
-    order given."""
-    keep = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if len(keep) and (keep.min() < 0 or keep.max() >= g.n):
-        raise InputError(f"node list for induced subgraph has ids outside 0..{g.n - 1}")
-    new_id = np.full(g.n, -1, dtype=np.int64)
-    new_id[keep] = np.arange(len(keep))
-    if (new_id[keep] != np.arange(len(keep))).any():
-        raise InputError("node list for induced subgraph contains duplicates")
-    # relabel every stored entry; an entry with a dropped end maps to -1
-    rows = new_id[np.repeat(np.arange(g.n), np.diff(g.matrix.indptr))]
-    cols = new_id[g.matrix.indices]
-    kept = (rows >= 0) & (cols >= 0)
-    sub = Graph.__new__(Graph)
-    sub.n = len(keep)
-    sub.m = int(kept.sum()) // 2
-    sub.matrix = _adjacency(sub.n, rows[kept], cols[kept])
-    sub.labels = None if g.labels is None else [g.labels[u] for u in keep.tolist()]
-    return sub

@@ -16,7 +16,7 @@ state mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -125,34 +125,34 @@ DYNAMICS_REGISTRY: dict[str, Callable[..., Dynamics]] = {
 
 
 def make_dynamics(spec: str) -> Dynamics:
-    """Resolve a dynamics spec string: 'zero', 'linear:0.5', 'logistic(2.0)'."""
-    text = spec.strip().rstrip(")")
-    if ":" in text:
-        name, _, arg = text.partition(":")
-    elif "(" in text:
-        name, _, arg = text.partition("(")
-    else:
-        name, arg = text, ""
+    """Resolve a dynamics spec: a registered name ('zero') or a name and its
+    parameter ('linear:0.5', 'logistic:2.0'). Any other form is an input
+    error that names the spec."""
+    name, colon, arg = spec.strip().partition(":")
     name = name.strip()
     if name not in DYNAMICS_REGISTRY:
         known = ", ".join(sorted(DYNAMICS_REGISTRY))
         raise InputError(f"unknown dynamics {spec!r}; known: {known}")
     factory = DYNAMICS_REGISTRY[name]
-    if arg:
+    if colon:
         try:
             value = float(arg)
         except ValueError:
             raise InputError(
-                f"dynamics {name!r}: parameter {arg.strip()!r} is not a number"
+                f"dynamics {spec!r}: parameter {arg.strip()!r} is not a number"
             ) from None
+        if not math.isfinite(value):
+            raise InputError(f"dynamics {spec!r}: parameter must be finite, got {value}")
         try:
             return factory(value)
         except TypeError:
-            raise InputError(f"dynamics {name!r} takes no parameter") from None
+            raise InputError(f"dynamics {spec!r}: {name!r} takes no parameter") from None
     try:
         return factory()
     except TypeError:
-        raise InputError(f"dynamics {name!r} needs a parameter, e.g. {name}:0.5") from None
+        raise InputError(
+            f"dynamics {spec!r}: {name!r} needs a parameter, e.g. {name}:0.5"
+        ) from None
 
 
 @dataclass
@@ -162,7 +162,6 @@ class SyncConfig:
     c: float = 1.0
     dt: float = 0.01
     t_max: float = 10.0
-    tol: float = 1e-6
     state_dim: int = 1
     dynamics: str | Dynamics = "zero"
     inner_coupling: np.ndarray | None = None
@@ -170,7 +169,7 @@ class SyncConfig:
     def validate(self, n: int = 0, keep_states: bool = False) -> None:
         """Check the settings, and that the arrays ``simulate`` allocates
         for ``n`` nodes fit in physical memory."""
-        for name in ("c", "dt", "t_max", "tol"):
+        for name in ("c", "dt", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
@@ -213,8 +212,6 @@ class SyncTrajectory:
     times: np.ndarray
     states: np.ndarray  # (steps + 1 if kept else 1, n_nodes, state_dim)
     sync_error: np.ndarray
-    synchronized_at: float | None = None
-    config: SyncConfig | None = field(default=None, repr=False)
 
 
 def simulate(
@@ -311,10 +308,8 @@ def simulate(
                 )
             if keep_states:
                 states[step] = x
-    hits = np.nonzero(errors < cfg.tol)[0]
-    synchronized_at = float(times[hits[0]]) if hits.size else None
     states[-1] = x
-    return SyncTrajectory(times, states, errors, synchronized_at, cfg)
+    return SyncTrajectory(times, states, errors)
 
 
 def fit_decay_rate(

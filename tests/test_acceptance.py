@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v` (or scripts/run_acceptance.py);
-every criterion states its tolerance inline and the heavy ones stay well
+Run with `pytest tests/test_acceptance.py -v -s` to see one line per
+criterion; every criterion states its tolerance inline and the heavy ones stay well
 inside their time budgets.
 """
 

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import functools
@@ -172,6 +173,33 @@ def test_one_parser_keeps_nothing_between_calls(ba_file, tmp_path):
     assert main([*res, "attack", "--out", str(tmp_path / "attack.csv")]) == 0
 
 
+# each changes the output of a default sync run; the closeness threshold
+# changes the --spectral-only report
+SYNC_OPTIONS = [["--c", "2"], ["--dt", "0.02"], ["--tmax", "10"], ["--state-dim", "2"],
+                ["--dynamics", "linear:-0.5"], ["--seed", "1"], ["--full"],
+                ["--closeness-threshold", "0.5"]]
+
+
+def subcommand_options(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {s for action in subparsers.choices[command]._actions for s in action.option_strings}
+
+
+@pytest.mark.parametrize("option", SYNC_OPTIONS, ids=[o[0] for o in SYNC_OPTIONS])
+def test_every_sync_option_reaches_the_output(ba_file, tmp_path, option):
+    # an option missing from SYNC_OPTIONS, or one that changes nothing, fails
+    structural = {"-h", "--help", "--edge-list", "--out", "--spectral-only"}
+    assert subcommand_options("sync") - structural == {o[0] for o in SYNC_OPTIONS}
+    sync = ["sync", "--edge-list", str(ba_file)]
+    if option[0] == "--closeness-threshold":
+        sync.append("--spectral-only")
+    default, changed = tmp_path / "default.out", tmp_path / "changed.out"
+    assert main([*sync, "--out", str(default)]) == 0
+    assert main([*sync, *option, "--out", str(changed)]) == 0
+    assert changed.read_bytes() != default.read_bytes()
+
+
 def test_validate_shipped_fixture(capsys):
     assert main(["validate"]) == 0
     captured = capsys.readouterr().out
@@ -220,6 +248,32 @@ def test_path_count_overflow_is_one_line_numerical_error(tmp_path, child_env):
     assert proc.stderr == "numerical error: shortest-path counts overflow float64\n"
 
 
+def test_no_subcommand_imports_the_sparse_solvers(tmp_path, child_env):
+    # either module costs about 7 MB of peak RSS; only a sparse spectral or
+    # components path may import it, inside that path
+    script = """
+import json, sys
+from netsync.cli import main
+d = sys.argv[1]
+edges = f"{d}/g.edges"
+with open(f"{d}/cfg.json", "w") as fh:
+    json.dump({"input": {"edge_list": edges}, "stages": "all"}, fh)
+for argv in (["generate", "ba", "--n", "60", "--m", "2"],
+             ["generate", "er", "--n", "60", "--edges", "120"],
+             ["analyze", "--edge-list", edges], ["fit", "--edge-list", edges, "--compare-er"],
+             ["resilience", "--edge-list", edges, "--strategy", "attack"],
+             ["sync", "--edge-list", edges, "--tmax", "1"],
+             ["sync", "--edge-list", edges, "--spectral-only"],
+             ["validate"], ["pipeline", "--config", f"{d}/cfg.json"]):
+    assert main([*argv, "--out", f"{d}/out" if argv[0] != "generate" else edges]) == 0, argv
+print(sorted(m for m in ("scipy.sparse.linalg", "scipy.sparse.csgraph") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["analyze", "--edge-list", str(tmp_path / "nope.edges")]) == 2
@@ -256,7 +310,6 @@ class TestExitCodes:
             (["--tmax", "nan"], "t_max must be finite"),
             (["--tmax", "inf"], "t_max must be finite"),
             (["--c", "nan"], "c must be finite"),
-            (["--tol", "nan"], "tol must be finite"),
             (["--tmax", "1e15"], "bytes"),
             (["--dt", "1e-300", "--tmax", "1"], "bytes"),
             (["--dt", "1e-3", "--tmax", "1e6", "--full"], "bytes"),
@@ -265,10 +318,16 @@ class TestExitCodes:
             (["--state-dim", "-1"], "state_dim"),
             (["--spectral-only", "--closeness-threshold", "nan"], "closeness_threshold"),
             (["--spectral-only", "--closeness-threshold", "inf"], "closeness_threshold"),
+            (["--dynamics", "logistic(2"], "'logistic(2'"),
+            (["--dynamics", "linear:0.5)))"], "'linear:0.5)))'"),
+            (["--dynamics", "zero)"], "'zero)'"),
+            (["--dynamics", "linear:nan"], "'linear:nan': parameter must be finite"),
         ],
-        ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tol-nan", "tmax-1e15",
+        ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tmax-1e15",
              "dt-1e-300", "full-states", "dt-overshoots-tmax", "dt-stops-short-of-tmax",
-             "state-dim-negative", "closeness-nan", "closeness-inf"],
+             "state-dim-negative", "closeness-nan", "closeness-inf",
+             "dynamics-open-paren", "dynamics-close-parens", "dynamics-name-paren",
+             "dynamics-nan"],
     )
     def test_bad_sync_numbers(self, ba_file, capsys, args, named):
         assert main(["sync", "--edge-list", str(ba_file), *args]) == 2
@@ -384,7 +443,7 @@ REMOVED_OPTIONS = [
         (["fit", "--edge-list", "x"], ["--format", "--deterministic"]),
         (["resilience", "--edge-list", "x", "--strategy", "attack"],
          ["--format", "--deterministic"]),
-        (["sync", "--edge-list", "x"], ["--format", "--deterministic"]),
+        (["sync", "--edge-list", "x"], ["--format", "--deterministic", "--tol"]),
         (["validate"], ["--seed", "--format", "--deterministic"]),
         (["pipeline", "--config", "x"], ["--seed", "--format"]),
     ]
@@ -397,7 +456,8 @@ REMOVED_OPTIONS = [
     ids=[f"{' '.join(a[:2] if a[0] == 'generate' else a[:1])} {o}" for a, o in REMOVED_OPTIONS],
 )
 def test_unread_option_is_rejected(capsys, argv, option):
-    value = {"--seed": ["1"], "--format": ["csv"], "--deterministic": []}[option]
+    value = {"--seed": ["1"], "--format": ["csv"], "--deterministic": [],
+             "--tol": ["1e-3"]}[option]
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, *value])
     assert exc.value.code == 2
@@ -447,7 +507,7 @@ def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory
                   st.sampled_from([["--strategy", "attack"], ["--strategy", "error"]]),
                   numbers(seeds="3", seed="1", record_every="0.25")),
         st.tuples(st.just(["sync", *edge_list]), st.sampled_from([[], ["--spectral-only"]]),
-                  numbers(c="1", dt="0.1 0.6", tmax="1", tol="1e-6", state_dim="2",
+                  numbers(c="1", dt="0.1 0.6", tmax="1", state_dim="2",
                           closeness_threshold="0.5"),
                   # linear:1e10 overflows at dt 0.1, t_max 1: a divergence, exit 3
                   st.sampled_from(["zero", "linear:-0.3", "logistic:2", "linear:1e10",

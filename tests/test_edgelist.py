@@ -25,8 +25,6 @@ def test_empty_file_warns():
 
 def test_labels_first_appearance_order():
     result = parse_edge_list("C A\nA B\n")
-    assert result.id_to_label == ["C", "A", "B"]
-    assert result.label_to_id == {"C": 0, "A": 1, "B": 2}
     assert result.graph.labels == ["C", "A", "B"]
 
 

