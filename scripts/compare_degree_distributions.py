@@ -14,7 +14,7 @@ from pathlib import Path
 from netsync.errors import FitError
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.powerlaw import distribution_comparison, fit_mle
-from netsync.report import comparison_csv
+from netsync.report import rows_csv
 
 
 def main() -> None:
@@ -27,8 +27,7 @@ def main() -> None:
 
     ba = generate_ba(BAParams(n=args.n, m=args.m, seed=args.seed))
     er = generate_er(ERParams(n=args.n, m=ba.m, seed=args.seed))
-    points = distribution_comparison(ba, er)
-    args.out.write_text(comparison_csv(points.observed, points.reference))
+    args.out.write_text(rows_csv(distribution_comparison(ba, er)))
 
     print(f"scale-free graph: n={ba.n} m={ba.m} max degree {max(ba.degrees())}")
     print(f"random graph:     n={er.n} m={er.m} max degree {max(er.degrees())}")

@@ -12,7 +12,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import ComponentPartition, Graph, connected_components
-from .edgelist import ingest_edge_list, parse_edge_list, serialize_edge_list, write_edge_list
+from .edgelist import ingest_edge_list, parse_edge_list, serialize_edge_list
 from .generators import BAParams, ERParams, generate_ba, generate_er
 from .metrics import (
     GraphSummary,

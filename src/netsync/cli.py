@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .edgelist import ingest_edge_list, write_edge_list
+from .edgelist import ingest_edge_list, serialize_edge_list
 from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
@@ -21,7 +21,7 @@ from .metrics import node_stats, summarize
 from .powerlaw import distribution_comparison, fit_mle
 from .report import (
     PipelineConfig,
-    comparison_csv,
+    read_input,
     report_to_json,
     rows_csv,
     run_pipeline,
@@ -117,45 +117,29 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = generate_ba(BAParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed))
     else:
         graph = generate_er(ERParams(n=args.n, m=args.edges, seed=args.seed))
-    if args.out:
-        write_edge_list(graph, args.out)
-    else:
-        from .edgelist import serialize_edge_list
-
-        sys.stdout.write(serialize_edge_list(graph))
+    _emit(serialize_edge_list(graph), args.out)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    result = ingest_edge_list(args.edge_list)
-    g = result.graph
+    g, record = read_input(args.edge_list)
     if args.format == "csv":
         columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
         _emit(rows_csv(node_stats(g), columns), args.out)
         return 0
-    payload = {
-        "summary": summarize(g),
-        "node_stats": node_stats(g),
-        "input": {
-            "edge_list": args.edge_list,
-            "duplicates_collapsed": result.duplicate_count,
-        },
-    }
+    payload = {"summary": summarize(g), "node_stats": node_stats(g), "input": record}
     _emit(to_json(payload), args.out)
     return 0
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    result = ingest_edge_list(args.edge_list)
-    payload = to_plain(fit_mle(result.graph.degrees()))
+    g = ingest_edge_list(args.edge_list).graph
+    payload = to_plain(fit_mle(g.degrees()))
     if args.compare_er:
-        reference = generate_er(
-            ERParams(n=result.graph.n, m=result.graph.m, seed=args.seed)
-        )
-        cmp_points = distribution_comparison(result.graph, reference)
-        csv_text = comparison_csv(cmp_points.observed, cmp_points.reference)
+        reference = generate_er(ERParams(n=g.n, m=g.m, seed=args.seed))
+        csv_text = rows_csv(distribution_comparison(g, reference))
         if args.comparison_out:
-            Path(args.comparison_out).write_text(csv_text)
+            _emit(csv_text, args.comparison_out)
         else:
             payload["comparison_csv"] = csv_text
     _emit(to_json(payload), args.out)

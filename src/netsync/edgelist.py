@@ -89,12 +89,6 @@ def ingest_edge_list(path: str | Path) -> IngestResult:
     return parse_edge_list(text, source=str(path))
 
 
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(serialize_edge_list(g))
-
-
 def serialize_edge_list(g: Graph) -> str:
     buf = io.StringIO()
     for u, v in g.edges():

@@ -24,7 +24,6 @@ from .metrics import degree_distribution
 
 TAIL_MASS_BOUND = 1e-9
 MAX_SUPPORT = 10**7
-KS_GRID_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ def fit_mle(degrees: list[int] | np.ndarray) -> PowerLawFit:
     log_k = np.log(k)
     # suffix sums: tail_log_sum[i] = sum of log(k[j]) for j >= first_idx[i]
     suffix = np.concatenate([np.cumsum(log_k[::-1])[::-1], [0.0]])
-    k_max = int(k[-1])
 
     best: tuple[float, int, float, int] | None = None
     for ci in range(uniq.size - 1):  # the max value alone is never a cutoff
@@ -72,12 +70,11 @@ def fit_mle(degrees: list[int] | np.ndarray) -> PowerLawFit:
         gamma_hat = 1.0 + n_tail / log_sum
 
         # KS over every integer of the tail range, so the flat stretches of
-        # the empirical CDF at unobserved values count against the fit; on
-        # extreme ranges fall back to the observed values only
-        if k_max - k0 <= KS_GRID_CAP:
-            grid = np.arange(k0, k_max + 1, dtype=np.int64)
-        else:
-            grid = uniq[ci:]
+        # the empirical CDF at unobserved values count against the fit. The
+        # empirical CDF is flat between observed values and the fitted one
+        # only rises, so the distance peaks at an observed value or at one
+        # less than the next: those points give the exact maximum
+        grid = np.concatenate([uniq[ci:], uniq[ci + 1 :] - 1])
         counts_le = np.searchsorted(k, grid, side="right") - start
         emp = counts_le / n_tail
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -137,19 +134,19 @@ def sample_power_law(gamma: float, k_min: int, n: int, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DistributionComparison:
-    """Paired (k, P(k)) point sets, ready for log-log plotting."""
+class ComparisonPoint:
+    """P(k) of one degree in the observed and the reference graph; None
+    where that graph has no node of degree k."""
 
-    observed: list[tuple[int, float]]
-    reference: list[tuple[int, float]]
+    k: int
+    p_observed: float | None
+    p_reference: float | None
 
 
-def distribution_comparison(g1: Graph, g2: Graph) -> DistributionComparison:
-    """Degree-distribution point sets of two graphs; zero-probability bins
-    never appear."""
+def distribution_comparison(g1: Graph, g2: Graph) -> list[ComparisonPoint]:
+    """Paired degree-distribution points of two graphs, one per degree that
+    either graph has, in ascending order; ready for log-log plotting."""
     if g1.n == 0 or g2.n == 0:
         raise InputError("distribution comparison needs two non-empty graphs")
-    return DistributionComparison(
-        observed=sorted(degree_distribution(g1).items()),
-        reference=sorted(degree_distribution(g2).items()),
-    )
+    obs, ref = degree_distribution(g1), degree_distribution(g2)
+    return [ComparisonPoint(k, obs.get(k), ref.get(k)) for k in sorted(obs.keys() | ref.keys())]

@@ -7,10 +7,12 @@ reads another's output, so the report does not depend on that order. A
 failing stage is recorded under ``errors`` without aborting the others.
 
 Result dataclasses serialize themselves: ``to_plain`` turns one into JSON
-values field by field, and ``rows_csv`` writes a list of them one field
-per column. Reports serialize to JSON with sorted keys so that a seeded
-run is byte-identical across repetitions; timestamps are omitted when the
-deterministic flag is set.
+values field by field, so each report key is the name of the field that
+holds its data, and ``rows_csv`` writes a list of them one field per
+column, which gives every CSV table but the streamed sync trajectory
+(``trajectory_csv``). Reports serialize to JSON with sorted keys so that a
+seeded run is byte-identical across repetitions; timestamps are omitted
+when the deterministic flag is set.
 """
 
 from __future__ import annotations
@@ -167,20 +169,22 @@ class AnalysisReport:
     provenance: dict[str, Any]
     summary: GraphSummary | None = None
     node_stats: list[NodeStats] | None = None
-    fit: PowerLawFit | None = None
+    power_law_fit: PowerLawFit | None = None
     spectral: SpectralReport | None = None
     resilience: ResilienceTrace | EnsembleTrace | None = None
     errors: dict[str, str] = field(default_factory=dict)
 
 
+def read_input(path: str) -> tuple[Graph, dict[str, Any]]:
+    """The graph of an edge-list file and the ``input`` record of a report
+    on it."""
+    result = ingest_edge_list(path)
+    return result.graph, {"edge_list": path, "duplicates_collapsed": result.duplicate_count}
+
+
 def _resolve_graph(cfg: PipelineConfig) -> tuple[Graph, dict[str, Any]]:
     if cfg.edge_list is not None:
-        result = ingest_edge_list(cfg.edge_list)
-        descriptor = {
-            "edge_list": cfg.edge_list,
-            "duplicates_collapsed": result.duplicate_count,
-        }
-        return result.graph, descriptor
+        return read_input(cfg.edge_list)
     model = "ba" if isinstance(cfg.generate, BAParams) else "er"
     graph = (generate_ba if model == "ba" else generate_er)(cfg.generate)
     descriptor = {"model": model, "seed": cfg.generate.seed, "n": graph.n, "m": graph.m}
@@ -208,7 +212,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             elif stage == "centralities":
                 report.node_stats = node_stats(graph)
             elif stage == "fit":
-                report.fit = fit_mle(graph.degrees())
+                report.power_law_fit = fit_mle(graph.degrees())
             elif stage == "spectral":
                 report.spectral = spectral_stability(graph)
             elif stage == "resilience":
@@ -236,14 +240,8 @@ def to_plain(obj: Any) -> Any:
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    out = {k: v for k, v in to_plain(report).items() if v is not None}
-    if "fit" in out:
-        out["power_law_fit"] = out.pop("fit")
-    if isinstance(report.resilience, ResilienceTrace):
-        out["resilience"]["kind"] = "single"
-    elif isinstance(report.resilience, EnsembleTrace):
-        out["resilience"].update(kind="ensemble", strategy="error")
-    return out
+    """``to_plain(report)`` without the stages that did not run."""
+    return {k: v for k, v in to_plain(report).items() if v is not None}
 
 
 def to_json(obj: Any) -> str:
@@ -287,15 +285,3 @@ def trajectory_csv(traj: SyncTrajectory, out: TextIO, full: bool = False) -> Non
         if full:
             row += traj.states[idx].reshape(-1).tolist()
         writer.writerow(row)
-
-
-def comparison_csv(observed, reference) -> str:
-    """Paired degree-distribution points; blank cells where a k value is
-    absent from one of the two point sets."""
-    obs = dict(observed)
-    ref = dict(reference)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "p_observed", "p_reference"])
-    writer.writerows([k, obs.get(k), ref.get(k)] for k in sorted(set(obs) | set(ref)))
-    return buf.getvalue()

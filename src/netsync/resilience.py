@@ -14,7 +14,7 @@ masks of the input at a time (``metrics._largest_component_diameter``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ class ResilienceTrace:
     seed: int | None
     initial_n: int
     rows: list[TraceRow]
+    kind: str = field(default="single", init=False)
 
     def fraction_when_lcc_below(self, threshold: int) -> float | None:
         """First recorded removal fraction with largest component < threshold."""
@@ -209,6 +210,8 @@ class EnsembleTrace:
     seeds: list[int]
     initial_n: int
     rows: list[EnsembleRow]
+    kind: str = field(default="ensemble", init=False)
+    strategy: str = field(default="error", init=False)
 
 
 def run_error_ensemble(

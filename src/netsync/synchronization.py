@@ -77,8 +77,10 @@ def spectral_stability(
         )
     if closeness_threshold is None:
         closeness_threshold = default_closeness_threshold(g)
-    elif not math.isfinite(closeness_threshold):
-        raise InputError(f"closeness_threshold must be finite, got {closeness_threshold}")
+    elif not (math.isfinite(closeness_threshold) and closeness_threshold >= 0):
+        raise InputError(
+            f"closeness_threshold must be finite and >= 0, got {closeness_threshold}"
+        )
     try:
         w = np.linalg.eigvalsh(coupling_matrix(g))
     except np.linalg.LinAlgError as exc:

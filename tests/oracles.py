@@ -6,7 +6,9 @@ distances come from the same enumeration. Only usable on tiny graphs. A
 per-node queue BFS, the closeness read from it, and a per-node count of the
 links among a node's neighbors serve graphs too large to enumerate.
 ``dense_brandes`` is the dense form of the library's Brandes sweep, whose
-bits the library must reproduce.
+bits the library must reproduce. ``power_law_ks`` measures a power-law fit
+at every integer of the tail, where the library measures it at the points
+that can hold the maximum.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.special import zeta
 
 from netsync.errors import DegenerateInputError, NumericalError
 from netsync.graph import Graph
@@ -143,3 +146,15 @@ def dense_brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             delta += sigma * (a @ coeff) * (level == k - 1)
         between += delta.sum(axis=1)
     return sums, between
+
+
+def power_law_ks(degrees, gamma: float, k_min: int) -> float:
+    """KS distance between the empirical CDF of the degrees >= k_min and
+    the discrete power law k^-gamma from k_min, taken at every integer
+    from k_min to the largest degree."""
+    tail = np.sort(np.asarray(degrees, dtype=np.int64))
+    tail = tail[tail >= k_min]
+    grid = np.arange(k_min, tail[-1] + 1, dtype=np.int64)
+    emp = np.searchsorted(tail, grid, side="right") / tail.size
+    fitted = 1.0 - zeta(gamma, grid + 1) / zeta(gamma, k_min)
+    return float(np.abs(emp - fitted).max())

@@ -2,11 +2,13 @@ import argparse
 import copy
 import csv
 import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from netsync.cli import build_parser, main
 from netsync.edgelist import ingest_edge_list
+from netsync.generators import ERParams, generate_er
 
 
 FIXTURE_HEADER = "country,code,degree,clustering,closeness,betweenness,eigenvector\n"
@@ -68,14 +71,28 @@ def test_analyze_csv_mirrors_reference_columns(ba_file, tmp_path):
 
 
 def test_fit_subcommand(ba_file, tmp_path):
-    out = tmp_path / "fit.json"
+    out, inline = tmp_path / "fit.json", tmp_path / "inline.json"
     cmp_out = tmp_path / "cmp.csv"
-    assert main(["fit", "--edge-list", str(ba_file), "--out", str(out),
-                 "--compare-er", "--comparison-out", str(cmp_out),
-                 "--seed", "1"]) == 0
+    fit = ["fit", "--edge-list", str(ba_file), "--compare-er", "--seed", "1"]
+    assert main([*fit, "--out", str(out), "--comparison-out", str(cmp_out)]) == 0
+    assert main([*fit, "--out", str(inline)]) == 0
     data = json.loads(out.read_text())
     assert data["gamma"] > 1.0
-    assert cmp_out.read_text().splitlines()[0] == "k,p_observed,p_reference"
+    text = cmp_out.read_text()
+    assert json.loads(inline.read_text()) == dict(data, comparison_csv=text)
+    # one row per degree of either graph, P(k) by repr; a degree that only
+    # one graph has leaves the other's cell empty (BA(120, 2) has no node of
+    # degree 0 or 1, its size-matched random graph no hub)
+    g = ingest_edge_list(ba_file).graph
+    ref = generate_er(ERParams(n=g.n, m=g.m, seed=1))
+    obs, exp = Counter(g.degrees()), Counter(ref.degrees())
+    expected = [["k", "p_observed", "p_reference"]] + [
+        [str(k), repr(obs[k] / g.n) if k in obs else "", repr(exp[k] / g.n) if k in exp else ""]
+        for k in sorted(obs.keys() | exp.keys())
+    ]
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows == expected
+    assert any(row[1] == "" for row in rows) and any(row[2] == "" for row in rows)
 
 
 def test_resilience_attack_csv(ba_file, tmp_path):
@@ -318,6 +335,7 @@ class TestExitCodes:
             (["--state-dim", "-1"], "state_dim"),
             (["--spectral-only", "--closeness-threshold", "nan"], "closeness_threshold"),
             (["--spectral-only", "--closeness-threshold", "inf"], "closeness_threshold"),
+            (["--spectral-only", "--closeness-threshold", "-1000"], "closeness_threshold"),
             (["--dynamics", "logistic(2"], "'logistic(2'"),
             (["--dynamics", "linear:0.5)))"], "'linear:0.5)))'"),
             (["--dynamics", "zero)"], "'zero)'"),
@@ -325,7 +343,7 @@ class TestExitCodes:
         ],
         ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tmax-1e15",
              "dt-1e-300", "full-states", "dt-overshoots-tmax", "dt-stops-short-of-tmax",
-             "state-dim-negative", "closeness-nan", "closeness-inf",
+             "state-dim-negative", "closeness-nan", "closeness-inf", "closeness-negative",
              "dynamics-open-paren", "dynamics-close-parens", "dynamics-name-paren",
              "dynamics-nan"],
     )

@@ -4,7 +4,6 @@ from netsync.edgelist import (
     ingest_edge_list,
     parse_edge_list,
     serialize_edge_list,
-    write_edge_list,
 )
 from netsync.errors import ParseError, ValidationError
 from netsync.generators import ERParams, generate_er
@@ -52,7 +51,7 @@ def test_self_loop_rejected_with_line():
 def test_round_trip(tmp_path):
     g = generate_er(ERParams(n=20, m=40, seed=5))
     path = tmp_path / "g.edges"
-    write_edge_list(g, path)
+    path.write_text(serialize_edge_list(g))
     back = ingest_edge_list(path)
     original = {frozenset((g.label_of(u), g.label_of(v))) for u, v in g.edges()}
     reparsed = {

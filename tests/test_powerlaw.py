@@ -1,15 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 
 from netsync.errors import FitError, InputError
+from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.graph import Graph
 from netsync.powerlaw import (
-    DistributionComparison,
+    ComparisonPoint,
     discrete_power_law_pmf,
     distribution_comparison,
     fit_mle,
     sample_power_law,
 )
+from oracles import power_law_ks
 
 
 class TestSampler:
@@ -108,20 +112,67 @@ class TestFit:
 class TestComparison:
     def test_identical_graphs(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        cmp = distribution_comparison(g, g)
-        assert cmp.observed == cmp.reference
+        assert distribution_comparison(g, g) == [
+            ComparisonPoint(1, 0.5, 0.5),
+            ComparisonPoint(2, 0.5, 0.5),
+        ]
 
     def test_complete_graph_single_point(self):
         import itertools
 
         k4 = Graph(4, list(itertools.combinations(range(4), 2)))
-        cmp = distribution_comparison(k4, k4)
-        assert cmp.observed == [(3, 1.0)]
+        assert distribution_comparison(k4, k4) == [ComparisonPoint(3, 1.0, 1.0)]
+
+    def test_degree_of_one_graph_only(self):
+        path = Graph(3, [(0, 1), (1, 2)])
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert distribution_comparison(path, star) == [
+            ComparisonPoint(1, 2 / 3, 0.75),
+            ComparisonPoint(2, 1 / 3, None),
+            ComparisonPoint(3, None, 0.25),
+        ]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
             distribution_comparison(Graph(0), Graph(1, []))
 
-    def test_returns_dataclass(self):
-        g = Graph(3, [(0, 1)])
-        assert isinstance(distribution_comparison(g, g), DistributionComparison)
+
+def _every_integer_fits(degrees):
+    """(k_min, KS at every integer) for each cutoff fit_mle tries, with the
+    exponent from the closed-form estimator."""
+    k = np.sort(np.asarray(degrees))
+    k = k[k > 0]
+    for k0 in np.unique(k)[:-1]:
+        tail = k[k >= k0]
+        gamma = 1.0 + tail.size / np.log(tail / (k0 - 0.5)).sum()
+        yield int(k0), power_law_ks(k, gamma, int(k0))
+
+
+SEQUENCES = {
+    "power-law-2.5": sample_power_law(2.5, 1, 3000, seed=11),
+    "power-law-2.4-kmin3": sample_power_law(2.4, 3, 2000, seed=12),
+    "power-law-3.2": sample_power_law(3.2, 2, 5000, seed=13),
+    "ba-2000": generate_ba(BAParams(n=2000, m=3, seed=1)).degrees(),
+    "er-49-351": generate_er(ERParams(n=49, m=351, seed=3)).degrees(),
+    "sparse-gaps": [1, 1, 1, 2, 2, 3, 5, 9, 40, 41, 300],
+}
+
+
+class TestKsGrid:
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_ks_equals_every_integer_oracle(self, name):
+        # the points where the distance can peak give the every-integer maximum
+        degrees = SEQUENCES[name]
+        fit = fit_mle(degrees)
+        assert fit.ks_stat == power_law_ks(degrees, fit.gamma, fit.k_min)
+        # and no cutoff fits better, up to the rounding of its exponent
+        for _, ks in _every_integer_fits(degrees):
+            assert ks >= fit.ks_stat * (1 - 1e-9)
+
+    def test_hub_of_degree_a_million(self):
+        # the tail spans 10**6 integers; only its observed values are evaluated
+        degrees = np.append(sample_power_law(2.5, 3, 20_000, seed=7), 10**6)
+        start = time.perf_counter()
+        fit = fit_mle(degrees)
+        assert time.perf_counter() - start < 1.0
+        assert fit.ks_stat == power_law_ks(degrees, fit.gamma, fit.k_min)

@@ -7,7 +7,7 @@ import pytest
 import netsync.cli
 import netsync.metrics
 import netsync.report
-from netsync.edgelist import write_edge_list
+from netsync.edgelist import serialize_edge_list
 from netsync.errors import InputError, NumericalError
 from netsync.generators import ERParams, generate_er
 from netsync.graph import Graph
@@ -80,7 +80,7 @@ class TestPipeline:
         assert not report.errors
         assert report.summary.n == 49 and report.summary.m == 351
         assert report.node_stats is not None and len(report.node_stats) == 49
-        assert report.fit is not None and report.fit.gamma > 1
+        assert report.power_law_fit is not None and report.power_law_fit.gamma > 1
         assert report.spectral is not None
         assert report.spectral.lambda1 == pytest.approx(0.0, abs=1e-8)
         assert report.resilience is not None
@@ -106,7 +106,7 @@ class TestPipeline:
     def test_k4_closed_forms_embedded_and_fit_failure_recorded(self, tmp_path):
         k4 = Graph(4, list(itertools.combinations(range(4), 2)))
         path = tmp_path / "k4.edges"
-        write_edge_list(k4, path)
+        path.write_text(serialize_edge_list(k4))
         cfg = PipelineConfig.from_dict(
             {"input": {"edge_list": str(path)}, "stages": "all"}
         )
@@ -234,7 +234,7 @@ def test_one_sweep_of_every_source(monkeypatch, tmp_path):
     assert full == []
 
     edges = tmp_path / "er.edges"
-    write_edge_list(generate_er(ERParams(n=49, m=351, seed=3)), edges)
+    edges.write_text(serialize_edge_list(generate_er(ERParams(n=49, m=351, seed=3))))
     for fmt in ("json", "csv"):
         full.clear()
         out = tmp_path / f"analyze.{fmt}"

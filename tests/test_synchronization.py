@@ -96,6 +96,11 @@ class TestSpectralStability:
         with pytest.raises(InputError, match="closeness_threshold must be finite"):
             spectral_stability(complete(5), threshold)
 
+    def test_rejects_negative_threshold_and_takes_zero(self):
+        with pytest.raises(InputError, match="closeness_threshold must be finite and >= 0"):
+            spectral_stability(complete(5), -1.0)
+        assert spectral_stability(complete(5), 0.0).closeness_threshold == 0.0
+
     def test_gap_field(self):
         rep = spectral_stability(complete(5))
         assert rep.gap == pytest.approx(5.0, abs=1e-8)
