@@ -6,12 +6,15 @@ The set covers every subcommand that writes a report: on a BA graph of
 ``analyze`` (JSON and CSV), ``resilience`` (attack, error with seed 3, a
 5-seed error ensemble), ``fit --compare-er`` (inline and with
 ``--comparison-out``) and ``sync --spectral-only``; on ER(49) ``sync --full
---tmax 2`` and ``sync --tmax 5`` with zero dynamics, ``sync --dynamics
-logistic:0.5 --state-dim 2 --full --tmax 1`` and ``sync --dynamics
-linear:-0.3 --tmax 2``, so the RK4 stepper runs with one state dimension
-and with two, with node dynamics and without; and ``pipeline
---deterministic`` with every stage on both 49-node edge lists, under attack
-and under a 4-seed error ensemble. Four more pipelines generate their
+--tmax 2``, ``sync --tmax 5`` and ``sync --full --tmax 10`` with zero
+dynamics, ``sync --dynamics logistic:0.5 --state-dim 2 --full --tmax 1``
+and ``sync --dynamics linear:-0.3 --tmax 2``, so the RK4 stepper runs with
+one state dimension and with two, with node dynamics and without; and on
+the ``--n`` BA graph ``sync`` to the default t_max. That run and ``--tmax
+10`` on ER(49) pass a step that returns its state bit for bit (on ER(49)
+at step 499), where the stepper stops and repeats that state. Then
+``pipeline --deterministic`` with every stage on both 49-node edge lists,
+under attack and under a 4-seed error ensemble. Four more pipelines generate their
 graph from ``input.generate`` and run every stage with a one-seed error run
 (seed 2): ER(49, 351, seed 3) with its edge count as ``edges`` and as the
 alias ``m``, and BA(49, m=8, seed 5) with the default core and with ``m0``
@@ -88,6 +91,9 @@ def commands(n: int) -> list[list[str]]:
         ["sync", "--edge-list", "er49.edges", "--full", "--tmax", "2",
          "--out", "er49.sync_full.csv"],
         ["sync", "--edge-list", "er49.edges", "--tmax", "5", "--out", "er49.sync.csv"],
+        ["sync", "--edge-list", "er49.edges", "--full", "--tmax", "10",
+         "--out", "er49.sync_fixed_point.csv"],
+        ["sync", "--edge-list", "ba_large.edges", "--out", "ba_large.sync.csv"],
         ["sync", "--edge-list", "er49.edges", "--dynamics", "logistic:0.5", "--state-dim", "2",
          "--full", "--tmax", "1", "--out", "er49.sync_logistic.csv"],
         ["sync", "--edge-list", "er49.edges", "--dynamics", "linear:-0.3", "--tmax", "2",

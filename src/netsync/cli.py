@@ -133,6 +133,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    if args.comparison_out:
+        if not args.compare_er:
+            raise InputError("--comparison-out: needs --compare-er, which makes the points")
+        if args.out and Path(args.out).resolve() == Path(args.comparison_out).resolve():
+            raise InputError(f"--comparison-out: {args.comparison_out} is also --out")
     g = ingest_edge_list(args.edge_list).graph
     payload = to_plain(fit_mle(g.degrees()))
     if args.compare_er:

@@ -280,8 +280,8 @@ def trajectory_csv(traj: SyncTrajectory, out: TextIO, full: bool = False) -> Non
         header += [f"node{i}_s{d}" for i in range(n_nodes) for d in range(dim)]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for idx, (t, err) in enumerate(zip(traj.times.tolist(), traj.sync_error.tolist())):
-        row = [t, err]
-        if full:
-            row += traj.states[idx].reshape(-1).tolist()
-        writer.writerow(row)
+    rows = zip(traj.times.tolist(), traj.sync_error.tolist())
+    if full:
+        flat = traj.states.reshape(len(traj.states), -1)
+        rows = ((t, err, *state.tolist()) for (t, err), state in zip(rows, flat))
+    writer.writerows(rows)

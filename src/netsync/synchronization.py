@@ -191,11 +191,12 @@ class SyncConfig:
                 )
         steps = self.t_max / self.dt
         # times and errors; kept states (or the last); the stepper's working
-        # set of 10 states: x, the 4 stages, tmp and acc, and at most 3
-        # temporaries at a time, those of f (logistic holds r*x, 1-x and
-        # their product), which outnumber Gamma's one copy
+        # set of 11 states: x, the 4 stages, tmp, acc and the last state whose
+        # error repeated, and at most 3 temporaries at a time, those of f
+        # (logistic holds r*x, 1-x and their product), which outnumber
+        # Gamma's one copy
         rows = steps + 1.0
-        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 10)
+        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 11)
         check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
         # after the memory check, which refuses an infinite step count
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
@@ -220,7 +221,13 @@ def simulate(
     g: Graph, cfg: SyncConfig, x0: np.ndarray, keep_states: bool = False
 ) -> SyncTrajectory:
     """Integrate with fixed-step RK4, recording the per-step worst-case deviation
-    from the state mean; every step's state is kept only for ``keep_states``."""
+    from the state mean; every step's state is kept only for ``keep_states``.
+
+    The run stops early, with exact results, at the first step that returns
+    its input bit for bit: a step reads nothing but the state, so every later
+    step would return it too, and the rest of the error series (and of the
+    kept states) is that step's. A callable ``cfg.dynamics`` must therefore be
+    a function of the state alone."""
     if g.n == 0:
         raise InputError("simulation needs at least 1 node")
     cfg.validate(g.n, keep_states)
@@ -285,6 +292,16 @@ def simulate(
         if f is not _no_dynamics:
             np.add(f(state), out, out=out)
 
+    # The step map reads x alone: ks, tmp, acc and centre are rewritten
+    # before they are read, Gamma and the coupling are fixed, and f takes no
+    # t. So once a step returns its input bit for bit, every later step
+    # does too, and the loop stops there. A step that repeats its input
+    # repeats its error, so only then is x copied into `last`, for the next
+    # step to compare with by bit pattern, where -0.0 and +0.0 differ.
+    last = np.empty((n, dim))
+    x_bits, last_bits = x.view(np.uint64), last.view(np.uint64)
+    previous, armed = float(errors[0]), False
+
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +319,7 @@ def simulate(
             np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
             np.add(acc, k4, out=acc)
             np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
-            errors[step] = error = max_deviation(x)
+            errors[step] = error = float(max_deviation(x))
             if not math.isfinite(error):
                 raise DivergenceError(
                     f"state became non-finite at t={times[step]:.6g}",
@@ -310,6 +327,16 @@ def simulate(
                 )
             if keep_states:
                 states[step] = x
+            if error != previous:
+                previous, armed = error, False
+            elif armed and np.array_equal(x_bits, last_bits):
+                errors[step + 1:] = error
+                if keep_states:
+                    states[step + 1:] = x
+                break
+            else:
+                np.copyto(last, x)
+                armed = True
     states[-1] = x
     return SyncTrajectory(times, states, errors)
 

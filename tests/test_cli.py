@@ -174,6 +174,25 @@ def test_sync_full_states(tmp_path):
     assert header == "t,sync_error,node0_s0,node1_s0"
 
 
+def test_sync_bytes_equal_at_one_and_two_blas_threads(tmp_path, child_env):
+    # a seeded run to the default t_max, past its fixed point, on BA(1000)
+    edges = tmp_path / "ba.edges"
+    assert main(["generate", "ba", "--n", "1000", "--m", "3", "--seed", "7",
+                 "--out", str(edges)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sync{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "netsync.cli", "sync", "--edge-list", str(edges),
+             "--seed", "3", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_one_parser_keeps_nothing_between_calls(ba_file, tmp_path):
     # the parser is built once per process; each call still starts from
     # the defaults
@@ -412,6 +431,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "input error: seed must be a non-negative integer, got -1\n"
         )
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--comparison-out", "cmp.csv", "--out", "fit.json"],
+             "--comparison-out: needs --compare-er"),
+            (["--compare-er", "--comparison-out", "same.csv", "--out", "same.csv"],
+             "--comparison-out: same.csv is also --out"),
+            (["--compare-er", "--comparison-out", "same.csv", "--out", "./sub/../same.csv"],
+             "--comparison-out: same.csv is also --out"),
+        ],
+        ids=["without-compare-er", "same-as-out", "same-as-out-by-another-path"],
+    )
+    def test_comparison_out_ignored_or_overwritten(self, ba_file, tmp_path, monkeypatch,
+                                                   capsys, args, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["fit", "--edge-list", str(ba_file), *args]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {named}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ba.edges", "sub"]
 
     def test_non_utf8_edge_list_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "binary.edges"

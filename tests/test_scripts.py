@@ -44,7 +44,7 @@ def test_synchronization_experiment(tmp_path, child_env):
 def test_output_digests(tmp_path, child_env):
     proc = run_script(child_env, "output_digests.py", tmp_path / "out", "--n", 60)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 49  # 45 command outputs and the 4 edge lists
+    assert len(lines) == 51  # 47 command outputs and the 4 edge lists
     digest, name = lines[0].split("  ")
     assert len(digest) == 64 and name == "ba49.analyze.csv"
     again = run_script(child_env, "output_digests.py", tmp_path / "again", "--n", 60)

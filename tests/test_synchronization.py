@@ -1,18 +1,22 @@
+import dataclasses
 import itertools
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsync import synchronization
 from netsync.errors import DivergenceError, InputError
 from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.synchronization import (
     SyncConfig,
     _coupling_operator,
+    _sparsetools,
     coupling_matrix,
     fit_decay_rate,
     make_dynamics,
@@ -371,6 +375,34 @@ def oracle_case(case):
     return g, cfg, np.random.default_rng(7).standard_normal((g.n, cfg.state_dim))
 
 
+def bits(a):
+    """The bit patterns of a float64 array, where -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_equals_allocating_loop(g, cfg, x0):
+    """simulate, with states kept and without, gives allocating_rk4's errors
+    and states bit for bit; returns the reference states."""
+    errors, states = allocating_rk4(g, cfg, x0, keep_states=True)
+    kept = simulate(g, cfg, x0, keep_states=True)
+    lean = simulate(g, cfg, x0)
+    assert np.array_equal(bits(kept.sync_error), bits(errors))
+    assert np.array_equal(bits(lean.sync_error), bits(errors))
+    assert np.array_equal(bits(kept.states), bits(states))
+    assert np.array_equal(bits(lean.states[0]), bits(states[-1]))
+    return states
+
+
+# settings under which each case reaches, well before t=40, a step that
+# returns its input bit for bit; all but BA(300) start from uniform draws
+FIXED_POINT_CASES = {
+    "zero_dynamics_ba300": {},
+    "two_dim_gamma": {"c": 8.0},
+    "disconnected_with_isolated_node": {"c": 2.0, "state_dim": 2},
+    "logistic_two_dim": {"dynamics": "logistic:1.5"},
+}
+
+
 class TestBitwiseOracle:
     """simulate's preallocated stepper gives the allocating loop's bits."""
 
@@ -378,14 +410,77 @@ class TestBitwiseOracle:
         "case", ["zero_dynamics_ba300", *SPARSE_CASES, "logistic_two_dim"]
     )
     def test_equals_allocating_loop(self, case):
+        assert_equals_allocating_loop(*oracle_case(case))
+
+    @pytest.mark.parametrize("case", FIXED_POINT_CASES)
+    def test_equals_allocating_loop_past_fixed_point(self, case):
         g, cfg, x0 = oracle_case(case)
-        errors, states = allocating_rk4(g, cfg, x0, keep_states=True)
-        kept = simulate(g, cfg, x0, keep_states=True)
-        lean = simulate(g, cfg, x0)
-        assert np.array_equal(kept.sync_error, errors)
-        assert np.array_equal(lean.sync_error, errors)
-        assert np.array_equal(kept.states, states)
-        assert np.array_equal(lean.states[0], states[-1])
+        cfg = dataclasses.replace(cfg, t_max=40.0, **FIXED_POINT_CASES[case])
+        if case != "zero_dynamics_ba300":
+            x0 = np.random.default_rng(9).random((g.n, cfg.state_dim))
+        states = assert_equals_allocating_loop(g, cfg, x0)
+        # the reference ends on a repeated state, so simulate stopped early
+        assert np.array_equal(bits(states[-1]), bits(states[-2]))
+
+    def test_signed_zero_start(self):
+        # -0.0 at every third node, which the first step turns into +0.0;
+        # the error is 0 throughout, so the gate compares from step 2 on
+        g, cfg = sparse_case("disconnected_with_isolated_node")
+        x0 = np.zeros((g.n, 1))
+        x0[::3] = -0.0
+        states = assert_equals_allocating_loop(g, dataclasses.replace(cfg, t_max=1.0), x0)
+        assert np.signbit(states[0]).any() and not np.signbit(states[1:]).any()
+
+    @pytest.mark.parametrize(
+        "g, cfg, x0, converges",
+        [
+            (generate_ba(BAParams(n=300, m=3, seed=4)),
+             SyncConfig(c=0.7, dt=0.01, t_max=40.0, dynamics="zero"),
+             np.random.default_rng(7).standard_normal((300, 1)), True),
+            (generate_er(ERParams(n=49, m=351, seed=3)),
+             SyncConfig(c=1.0, dt=0.01, t_max=4.0, dynamics="zero"),
+             np.random.default_rng(7).standard_normal((49, 1)), False),
+        ],
+        ids=["ba300-converges", "er49-never-repeats"],
+    )
+    def test_exit_skips_only_steps_after_a_fixed_point(self, monkeypatch, g, cfg, x0,
+                                                        converges):
+        calls = []
+
+        def counted(name):
+            kernel = getattr(_sparsetools, name)
+
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(synchronization, "_sparsetools", SimpleNamespace(
+            csr_matvec=counted("csr_matvec"), csr_matvecs=counted("csr_matvecs")))
+        traj = simulate(g, cfg, x0, keep_states=True)
+        steps = len(traj.times) - 1
+        same = (bits(traj.states[1:]) == bits(traj.states[:-1])).all(axis=(1, 2))
+        if not converges:
+            assert not same.any() and len(calls) == 4 * steps
+            return
+        # a state repeats first at step s; its error repeats too, so the step
+        # after s, at the latest, compares with the state it keeps and stops
+        first = int(np.argmax(same)) + 1
+        assert same[first - 1:].all()
+        assert 4 * first <= len(calls) <= 4 * (first + 1) < 4 * steps
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graphs(max_n=40),
+        st.sampled_from(["zero", "linear:-0.3", "logistic:1.5"]),
+        st.sampled_from([0.7, 2.0]),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_drawn_runs_equal_allocating_loop(self, g, dynamics, c, dim, t_max, seed):
+        cfg = SyncConfig(c=c, dt=0.01, t_max=float(t_max), dynamics=dynamics, state_dim=dim)
+        assert_equals_allocating_loop(g, cfg, np.random.default_rng(seed).random((g.n, dim)))
 
     @pytest.mark.parametrize(
         "g, cfg",
@@ -451,8 +546,8 @@ class TestConfigValidation:
 
     def test_rk4_working_set_must_fit_in_memory(self):
         # one state is a tenth of physical memory; besides the stored state
-        # the stepper holds 10: x, the 4 stages, tmp, acc and up to 3
-        # temporaries of f or Gamma
+        # the stepper holds 11: x, the 4 stages, tmp, acc, the last state
+        # whose error repeated and up to 3 temporaries of f or Gamma
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(InputError, match="bytes"):
             SyncConfig(dt=0.1, t_max=1.0).validate(n=memory // 80)
