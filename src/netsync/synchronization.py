@@ -4,7 +4,8 @@ The coupling matrix is the adjacency matrix with its diagonal replaced by
 the negated degrees (equivalently, the negated graph Laplacian), so every
 row sums to zero and the all-ones vector is an equilibrium direction. A
 synchronized state is exponentially stable when the spectrum is 0 =
-lambda_1 > lambda_2 with a clear gap (from the dense matrix); the simulator
+lambda_1 > lambda_2 with a clear gap (from a dense eigensolve up to
+DENSE_EIGEN_N nodes, and a sparse shift-invert solve above); the simulator
 integrates, on the sparse coupling operator (scipy CSR),
 
     dx_i/dt = f(x_i) + c * sum_j a_ij * Gamma @ (x_j - x_i)
@@ -25,9 +26,17 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .errors import DivergenceError, InputError, NumericalError, check_memory
-from .graph import Graph
+from .graph import Graph, connected_components
 
+# the largest graph with a spectral report: nothing checks the fill of the
+# sparse LU factor against memory, and the factor grows fast beyond this
 MAX_EIGEN_N = 5000
+# the largest graph whose spectrum comes from a dense eigensolve: up to here
+# dense is the faster method and its bits do not depend on the BLAS thread
+# count, which they do from a few hundred nodes on
+DENSE_EIGEN_N = 200
+# the shift that makes the Laplacian invertible in the sparse solve
+SHIFT = 1e-3
 
 Dynamics = Callable[[np.ndarray], np.ndarray]
 
@@ -60,20 +69,60 @@ def default_closeness_threshold(g: Graph) -> float:
     return 0.1 * max(1.0, mean_degree)
 
 
+def _algebraic_connectivity(g: Graph) -> float:
+    """lambda_2 of the Laplacian L of a connected graph, without a dense matrix.
+
+    Lanczos (ARPACK) finds the largest eigenvalue theta of P (L + s I)^-1 P,
+    where P removes the mean and s = SHIFT, through a sparse LU factor of
+    L + s I whose fill-reducing order is that of L's pattern. P maps the
+    all-ones direction to 0, so theta = 1 / (lambda_2 + s). The start vector
+    is fixed, so the result is the same bits on every call."""
+    from scipy.sparse import linalg
+
+    degrees = np.diff(g.matrix.indptr).astype(np.float64)
+    shifted = (sparse.diags(degrees + SHIFT) - g.matrix).tocsc()
+    try:
+        lu = linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse factor of the shifted Laplacian failed: {exc}") from exc
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        y = lu.solve(v - v.mean())
+        return y - y.mean()
+
+    operator = linalg.LinearOperator(shifted.shape, matvec=solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(g.n)
+    try:
+        theta = linalg.eigsh(operator, k=1, which="LA", tol=0, v0=v0 - v0.mean(),
+                             return_eigenvectors=False)[0]
+    except linalg.ArpackNoConvergence as exc:
+        raise NumericalError(f"lambda_2 eigensolver did not converge: {exc}") from exc
+    return float(1.0 / theta - SHIFT)
+
+
 def spectral_stability(
     g: Graph, closeness_threshold: float | None = None
 ) -> SpectralReport:
-    """Full symmetric eigensolve of the coupling matrix (LAPACK's
-    tridiagonalization-based solver via numpy.linalg.eigvalsh).
+    """lambda_1 and lambda_2 of the coupling matrix, and whether the
+    synchronized state is stable.
 
-    Stable means: lambda_1 vanishes (relative to the largest degree),
-    lambda_2 is negative, and the gap clears the closeness threshold.
+    Up to DENSE_EIGEN_N nodes both come from a full symmetric eigensolve of
+    the dense matrix (LAPACK through numpy.linalg.eigvalsh). Above it no
+    dense matrix is built: lambda_1 is exactly 0, since every row sums to
+    exactly 0, and lambda_2 is 0 on a disconnected graph and otherwise minus
+    the algebraic connectivity from a sparse shift-invert solve. The zero
+    multiplicity is the number of connected components.
+
+    Stable means: the graph is connected, lambda_1 vanishes (relative to the
+    largest degree), lambda_2 is negative, and the gap clears the closeness
+    threshold.
     """
     if g.n < 2:
         raise InputError("spectral stability needs at least 2 nodes")
     if g.n > MAX_EIGEN_N:
         raise InputError(
-            f"full spectrum limited to n <= {MAX_EIGEN_N}, got {g.n}"
+            f"spectral stability limited to n <= {MAX_EIGEN_N}, got {g.n}"
         )
     if closeness_threshold is None:
         closeness_threshold = default_closeness_threshold(g)
@@ -81,16 +130,21 @@ def spectral_stability(
         raise InputError(
             f"closeness_threshold must be finite and >= 0, got {closeness_threshold}"
         )
-    try:
-        w = np.linalg.eigvalsh(coupling_matrix(g))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    lam1 = float(w[-1])
-    lam2 = float(w[-2])
+    components = connected_components(g).count
+    if g.n <= DENSE_EIGEN_N:
+        try:
+            w = np.linalg.eigvalsh(coupling_matrix(g))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+        lam1 = float(w[-1])
+        lam2 = float(w[-2])
+    else:
+        lam1 = 0.0
+        lam2 = 0.0 if components > 1 else -_algebraic_connectivity(g)
     scale = float(max(g.degrees(), default=0))
-    zero_tol = 1e-8 * max(1.0, scale)
     stable = (
-        abs(lam1) <= 1e-8 * scale
+        components == 1
+        and abs(lam1) <= 1e-8 * scale
         and lam2 < 0.0
         and (lam1 - lam2) >= closeness_threshold
     )
@@ -99,7 +153,7 @@ def spectral_stability(
         lambda2=lam2,
         gap=lam1 - lam2,
         stable=bool(stable),
-        zero_multiplicity=int(np.sum(np.abs(w) <= zero_tol)),
+        zero_multiplicity=components,
         closeness_threshold=float(closeness_threshold),
     )
 
@@ -223,11 +277,12 @@ def simulate(
     """Integrate with fixed-step RK4, recording the per-step worst-case deviation
     from the state mean; every step's state is kept only for ``keep_states``.
 
-    The run stops early, with exact results, at the first step that returns
-    its input bit for bit: a step reads nothing but the state, so every later
-    step would return it too, and the rest of the error series (and of the
-    kept states) is that step's. A callable ``cfg.dynamics`` must therefore be
-    a function of the state alone."""
+    The run stops early, with exact results, soon after the state returns,
+    bit for bit, to that of one step before (a fixed point) or of two steps
+    before (a cycle of period 2): a step reads nothing but the state, so
+    every later step would repeat it, and the rest of the error series (and
+    of the kept states) repeats the last one or two. A callable
+    ``cfg.dynamics`` must therefore be a function of the state alone."""
     if g.n == 0:
         raise InputError("simulation needs at least 1 node")
     cfg.validate(g.n, keep_states)
@@ -292,33 +347,39 @@ def simulate(
         if f is not _no_dynamics:
             np.add(f(state), out, out=out)
 
+    def advance() -> None:
+        # x <- x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+        ks.fill(0.0)
+        deriv(x, x_flat, k1, k1_flat)
+        np.add(x, np.multiply(k1, 0.5 * h, out=tmp), out=tmp)
+        deriv(tmp, tmp_flat, k2, k2_flat)
+        np.add(x, np.multiply(k2, 0.5 * h, out=tmp), out=tmp)
+        deriv(tmp, tmp_flat, k3, k3_flat)
+        np.add(x, np.multiply(k3, h, out=tmp), out=tmp)
+        deriv(tmp, tmp_flat, k4, k4_flat)
+        np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+        np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
+
     # The step map reads x alone: ks, tmp, acc and centre are rewritten
     # before they are read, Gamma and the coupling are fixed, and f takes no
-    # t. So once a step returns its input bit for bit, every later step
-    # does too, and the loop stops there. A step that repeats its input
-    # repeats its error, so only then is x copied into `last`, for the next
-    # step to compare with by bit pattern, where -0.0 and +0.0 differ.
+    # t. So once a step returns the state of one or of two steps before, bit
+    # for bit, every later step repeats that state or that pair of states,
+    # and the loop stops there. Such a step repeats that step's error, so
+    # only then is x copied into `last`, for one of the next two steps to
+    # compare with by bit pattern, where -0.0 and +0.0 differ. `armed` is the
+    # step whose state `last` holds; -2 lies below every step it is compared
+    # with.
     last = np.empty((n, dim))
     x_bits, last_bits = x.view(np.uint64), last.view(np.uint64)
-    previous, armed = float(errors[0]), False
+    previous, before, armed = float(errors[0]), math.nan, -2
 
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            ks.fill(0.0)
-            deriv(x, x_flat, k1, k1_flat)
-            np.add(x, np.multiply(k1, 0.5 * h, out=tmp), out=tmp)
-            deriv(tmp, tmp_flat, k2, k2_flat)
-            np.add(x, np.multiply(k2, 0.5 * h, out=tmp), out=tmp)
-            deriv(tmp, tmp_flat, k3, k3_flat)
-            np.add(x, np.multiply(k3, h, out=tmp), out=tmp)
-            deriv(tmp, tmp_flat, k4, k4_flat)
-            # x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
-            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-            np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
+            advance()
             errors[step] = error = float(max_deviation(x))
             if not math.isfinite(error):
                 raise DivergenceError(
@@ -327,17 +388,25 @@ def simulate(
                 )
             if keep_states:
                 states[step] = x
-            if error != previous:
-                previous, armed = error, False
-            elif armed and np.array_equal(x_bits, last_bits):
-                errors[step + 1:] = error
-                if keep_states:
-                    states[step + 1:] = x
-                break
-            else:
-                np.copyto(last, x)
-                armed = True
-    states[-1] = x
+            if error == previous or error == before:
+                if armed >= step - 2 and np.array_equal(x_bits, last_bits):
+                    # from here x alternates with the previous state, which
+                    # is x itself when the step returned its input
+                    errors[step + 1::2] = previous
+                    errors[step + 2::2] = error
+                    if keep_states:
+                        states[step + 1::2] = states[step - 1]
+                        states[step + 2::2] = x
+                    elif armed < step - 1 and (steps - step) % 2:
+                        advance()  # the last state is the previous one
+                    break
+                # a state armed one step ago waits for its second compare
+                if armed != step - 1:
+                    np.copyto(last, x)
+                    armed = step
+            before, previous = previous, error
+    if not keep_states:
+        states[0] = x
     return SyncTrajectory(times, states, errors)
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -175,22 +176,24 @@ def test_sync_full_states(tmp_path):
 
 
 def test_sync_bytes_equal_at_one_and_two_blas_threads(tmp_path, child_env):
-    # a seeded run to the default t_max, past its fixed point, on BA(1000)
+    # on BA(1000): a seeded run to the default t_max, past its fixed point,
+    # and the spectral report, above the size of a dense eigensolve
     edges = tmp_path / "ba.edges"
     assert main(["generate", "ba", "--n", "1000", "--m", "3", "--seed", "7",
                  "--out", str(edges)]) == 0
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"sync{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "netsync.cli", "sync", "--edge-list", str(edges),
-             "--seed", "3", "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    for args in (["--seed", "3"], ["--spectral-only"]):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sync{threads}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "netsync.cli", "sync", "--edge-list", str(edges),
+                 *args, "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], args
 
 
 def test_one_parser_keeps_nothing_between_calls(ba_file, tmp_path):
@@ -328,6 +331,32 @@ class TestExitCodes:
         k4 = tmp_path / "k4.edges"
         k4.write_text("a b\na c\na d\nb c\nb d\nc d\n")
         assert main(["fit", "--edge-list", str(k4)]) == 3
+
+    @pytest.mark.parametrize(
+        "solver, failure",
+        [
+            ("eigsh", lambda: scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])),
+            ("splu", lambda: RuntimeError("Factor is exactly singular")),
+        ],
+        ids=["arpack-no-convergence", "singular-factor"],
+    )
+    def test_sparse_spectral_failure_is_numerical_error(self, tmp_path, capsys,
+                                                        monkeypatch, solver, failure):
+        edges = tmp_path / "ba300.edges"
+        assert main(["generate", "ba", "--n", "300", "--m", "3", "--seed", "1",
+                     "--out", str(edges)]) == 0
+
+        def fail(*args, **kwargs):
+            raise failure()
+
+        monkeypatch.setattr(scipy.sparse.linalg, solver, fail)
+        capsys.readouterr()
+        assert main(["sync", "--edge-list", str(edges), "--spectral-only",
+                     "--out", str(tmp_path / "spectral.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_invalid_generator_params(self, tmp_path):
         assert main(["generate", "ba", "--n", "3", "--m", "5",

@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import math
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from netsync.errors import DivergenceError, InputError
 from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.synchronization import (
+    DENSE_EIGEN_N,
     SyncConfig,
     _coupling_operator,
     _sparsetools,
@@ -85,6 +89,10 @@ class TestSpectralStability:
     def test_disconnected_is_unstable(self):
         rep = spectral_stability(Graph(4, [(0, 1), (2, 3)]))
         assert not rep.stable
+        # eigvalsh puts lambda_2 a rounding error below 0 here, which a zero
+        # threshold would otherwise take as a gap
+        rep = spectral_stability(Graph(5, [(0, 1), (1, 2), (3, 4)]), 0.0)
+        assert rep.lambda2 < 0.0 and not rep.stable
 
     def test_edgeless_unstable(self):
         rep = spectral_stability(Graph(3))
@@ -108,6 +116,118 @@ class TestSpectralStability:
     def test_gap_field(self):
         rep = spectral_stability(complete(5))
         assert rep.gap == pytest.approx(5.0, abs=1e-8)
+
+
+def from_networkx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), list(h.edges()))
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return Graph(offset, edges)
+
+
+def dense_lambda2(g):
+    return float(np.linalg.eigvalsh(coupling_matrix(g))[-2])
+
+
+def networkx_lambda2(g):
+    h = nx.Graph(list(g.edges()))
+    return -nx.algebraic_connectivity(h, method="tracemin_lu", tol=1e-12)
+
+
+# above DENSE_EIGEN_N nodes, long diameters, tiny and degenerate lambda_2
+SPARSE_SPECTRUM_GRAPHS = {
+    "grid30x30": lambda: from_networkx(nx.grid_2d_graph(30, 30)),
+    "lollipop30_270": lambda: from_networkx(nx.lollipop_graph(30, 270)),
+    "barbell150_10": lambda: from_networkx(nx.barbell_graph(150, 10)),
+    "star1000": lambda: from_networkx(nx.star_graph(999)),
+    "cycle1001": lambda: from_networkx(nx.cycle_graph(1001)),
+    "complete300": lambda: complete(300),
+}
+
+
+class TestSparseSpectrum:
+    """lambda_2 from the shift-invert solve, above DENSE_EIGEN_N nodes."""
+
+    @pytest.mark.parametrize("n", [201, 300, 1000, 3000])
+    @pytest.mark.parametrize("model", ["ba", "er"])
+    def test_random_graphs_match_dense_and_networkx(self, model, n):
+        if model == "ba":
+            g = generate_ba(BAParams(n=n, m=3, seed=1))
+        else:
+            g = generate_er(ERParams(n=n, m=5 * n, seed=1))
+        rep = spectral_stability(g)
+        assert rep.lambda1 == 0.0 and rep.zero_multiplicity == 1
+        assert rep.gap == -rep.lambda2
+        assert rep.lambda2 == pytest.approx(dense_lambda2(g), rel=1e-8)
+        assert rep.lambda2 == pytest.approx(networkx_lambda2(g), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_path_matches_closed_form(self, n):
+        # eigvalsh itself is off by 3.6e-11 relative on the 1000-node path
+        rep = spectral_stability(from_networkx(nx.path_graph(n)))
+        assert rep.lambda2 == pytest.approx(-2.0 * (1.0 - math.cos(math.pi / n)), abs=1e-14)
+        assert not rep.stable
+
+    @pytest.mark.parametrize("name", SPARSE_SPECTRUM_GRAPHS)
+    def test_odd_graphs_match_dense(self, name):
+        g = SPARSE_SPECTRUM_GRAPHS[name]()
+        assert g.n > DENSE_EIGEN_N
+        rep = spectral_stability(g)
+        assert rep.lambda2 == pytest.approx(dense_lambda2(g), rel=1e-8)
+        assert rep.lambda2 == pytest.approx(networkx_lambda2(g), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "g, components",
+        [
+            (disjoint_union(generate_ba(BAParams(n=150, m=3, seed=1)),
+                            generate_ba(BAParams(n=151, m=3, seed=2))), 2),
+            (disjoint_union(generate_ba(BAParams(n=300, m=3, seed=1)), Graph(1)), 2),
+        ],
+        ids=["two-ba-components", "ba-and-isolated-node"],
+    )
+    def test_disconnected(self, g, components):
+        rep = spectral_stability(g, 0.0)
+        assert g.n > DENSE_EIGEN_N
+        assert rep.lambda1 == 0.0 and rep.lambda2 == 0.0 and rep.gap == 0.0
+        assert rep.zero_multiplicity == components
+        assert not rep.stable
+
+    def test_refused_above_max_eigen_n(self):
+        with pytest.raises(InputError, match="limited to n <= 5000, got 5001"):
+            spectral_stability(from_networkx(nx.path_graph(5001)))
+
+    def test_same_bits_on_every_call(self):
+        g = generate_ba(BAParams(n=1000, m=3, seed=7))
+        first, again = spectral_stability(g), spectral_stability(g)
+        assert first.lambda2.hex() == again.lambda2.hex()
+        assert dataclasses.astuple(first) == dataclasses.astuple(again)
+
+    def test_dense_up_to_the_constant_sparse_above(self, child_env):
+        # only the sparse path imports scipy.sparse.linalg, and only eigvalsh
+        # is the dense path
+        script = """
+import sys
+import numpy as np
+from netsync.generators import BAParams, generate_ba
+from netsync.synchronization import DENSE_EIGEN_N, spectral_stability
+calls = []
+eigvalsh = np.linalg.eigvalsh
+np.linalg.eigvalsh = lambda a: calls.append(len(a)) or eigvalsh(a)
+for n in (DENSE_EIGEN_N, DENSE_EIGEN_N + 1):
+    spectral_stability(generate_ba(BAParams(n=n, m=3, seed=1)))
+    print(n, calls, "scipy.sparse.linalg" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert DENSE_EIGEN_N == 200
+        assert proc.stdout == "200 [200] False\n201 [200] True\n"
 
 
 class TestDynamicsRegistry:
@@ -393,6 +513,31 @@ def assert_equals_allocating_loop(g, cfg, x0):
     return states
 
 
+def count_products(monkeypatch):
+    """The list to which every coupling product that simulate makes adds one
+    entry."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(_sparsetools, name)
+
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(synchronization, "_sparsetools", SimpleNamespace(
+        csr_matvec=counted("csr_matvec"), csr_matvecs=counted("csr_matvecs")))
+    return calls
+
+
+def period_two_case(t_max):
+    """two_dim_gamma at c=6, whose state alternates between two values bit
+    for bit from step 2953 on, and whose error then repeats every step."""
+    g, cfg, x0 = oracle_case("two_dim_gamma")
+    return g, dataclasses.replace(cfg, c=6.0, t_max=t_max), x0
+
+
 # settings under which each case reaches, well before t=40, a step that
 # returns its input bit for bit; all but BA(300) start from uniform draws
 FIXED_POINT_CASES = {
@@ -445,18 +590,7 @@ class TestBitwiseOracle:
     )
     def test_exit_skips_only_steps_after_a_fixed_point(self, monkeypatch, g, cfg, x0,
                                                         converges):
-        calls = []
-
-        def counted(name):
-            kernel = getattr(_sparsetools, name)
-
-            def call(*args):
-                calls.append(name)
-                return kernel(*args)
-            return call
-
-        monkeypatch.setattr(synchronization, "_sparsetools", SimpleNamespace(
-            csr_matvec=counted("csr_matvec"), csr_matvecs=counted("csr_matvecs")))
+        calls = count_products(monkeypatch)
         traj = simulate(g, cfg, x0, keep_states=True)
         steps = len(traj.times) - 1
         same = (bits(traj.states[1:]) == bits(traj.states[:-1])).all(axis=(1, 2))
@@ -468,6 +602,42 @@ class TestBitwiseOracle:
         first = int(np.argmax(same)) + 1
         assert same[first - 1:].all()
         assert 4 * first <= len(calls) <= 4 * (first + 1) < 4 * steps
+
+    @pytest.mark.parametrize("t_max", [59.99, 60.0])
+    def test_equals_allocating_loop_past_period_two_cycle(self, t_max):
+        # an odd and an even number of steps after the cycle is found
+        g, cfg, x0 = period_two_case(t_max)
+        states = assert_equals_allocating_loop(g, cfg, x0)
+        assert np.array_equal(bits(states[-1]), bits(states[-3]))
+        assert not np.array_equal(bits(states[-1]), bits(states[-2]))
+
+    @pytest.mark.parametrize("t_max", [9.0, 10.0])
+    def test_equals_allocating_loop_on_alternating_errors(self, t_max):
+        # without edges each node follows f alone: nodes 0 and 1 step from
+        # -1 to 0 and back, bit for bit at dt=1, and node 2 rests at -20, so
+        # the error alternates between two values from the first step on
+        def f(x):
+            return np.where(x > 0.0, -3.0, np.where(x > -10.0, 1.0, 0.0))
+
+        g, cfg = Graph(3), SyncConfig(c=1.0, dt=1.0, t_max=t_max, dynamics=f)
+        x0 = np.array([-1.0, -1.0, -20.0])
+        states = assert_equals_allocating_loop(g, cfg, x0)
+        errors = allocating_rk4(g, cfg, x0)[0]
+        assert errors[-1] == errors[-3] != errors[-2]
+        assert np.array_equal(bits(states[-1]), bits(states[-3]))
+
+    def test_exit_fires_two_steps_into_a_period_two_cycle(self, monkeypatch):
+        g, cfg, x0 = period_two_case(60.0)
+        states = allocating_rk4(g, cfg, x0, keep_states=True)[1]
+        same = (bits(states[2:]) == bits(states[:-2])).all(axis=(1, 2))
+        first = int(np.argmax(same))  # x(first + 2) == x(first), and on
+        assert same[first:].all() and first == 2953
+        calls = count_products(monkeypatch)
+        simulate(g, cfg, x0)
+        # a state stays armed for two steps, so the compare that finds the
+        # cycle comes at step first + 2 or first + 3; one more step may
+        # follow, to give the last state, the other one of the pair
+        assert 4 * (first + 2) <= len(calls) <= 4 * (first + 4)
 
     @settings(max_examples=20, deadline=None)
     @given(
