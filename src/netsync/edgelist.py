@@ -9,7 +9,7 @@ dense integer ids in first-appearance order; the graph keeps them as
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -20,7 +20,6 @@ from .graph import Graph
 class IngestResult:
     graph: Graph
     duplicate_count: int
-    warnings: list[str] = field(default_factory=list)
 
 
 def _split_tokens(line: str) -> list[str]:
@@ -40,7 +39,6 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
     edges: set[tuple[int, int]] = set()
     duplicates = 0
     self_loop_lines: list[int] = []
-    warnings: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -73,11 +71,9 @@ def parse_edge_list(text: str, source: str = "<string>") -> IngestResult:
         raise ValidationError(
             f"{source}: self-loop edge(s) on line(s) {shown}"
         )
-    if not edges and not labels:
-        warnings.append(f"{source}: no edges found, graph is empty")
 
     graph = Graph(len(labels), edges, labels=labels)
-    return IngestResult(graph, duplicates, warnings)
+    return IngestResult(graph, duplicates)
 
 
 def ingest_edge_list(path: str | Path) -> IngestResult:

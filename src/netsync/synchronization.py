@@ -37,6 +37,10 @@ MAX_EIGEN_N = 5000
 DENSE_EIGEN_N = 200
 # the shift that makes the Laplacian invertible in the sparse solve
 SHIFT = 1e-3
+# minus the end of RK4's stability interval on the negative real axis: the
+# real root of z^3 + 4 z^2 + 12 z + 24 = 0, where |R(-z)| = 1 for RK4's
+# R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and |R| > 1 beyond it
+RK4_REAL_LIMIT = 2.785293563405289
 
 Dynamics = Callable[[np.ndarray], np.ndarray]
 
@@ -107,16 +111,16 @@ def spectral_stability(
     """lambda_1 and lambda_2 of the coupling matrix, and whether the
     synchronized state is stable.
 
-    Up to DENSE_EIGEN_N nodes both come from a full symmetric eigensolve of
-    the dense matrix (LAPACK through numpy.linalg.eigvalsh). Above it no
-    dense matrix is built: lambda_1 is exactly 0, since every row sums to
-    exactly 0, and lambda_2 is 0 on a disconnected graph and otherwise minus
-    the algebraic connectivity from a sparse shift-invert solve. The zero
-    multiplicity is the number of connected components.
+    lambda_1 is exactly 0, since every row sums to exactly 0, and lambda_2
+    is exactly 0 on a disconnected graph, with no eigensolve. On a connected
+    graph lambda_2 comes, up to DENSE_EIGEN_N nodes, from a full symmetric
+    eigensolve of the dense matrix (LAPACK through numpy.linalg.eigvalsh),
+    and above it, with no dense matrix built, it is minus the algebraic
+    connectivity from a sparse shift-invert solve. The zero multiplicity is
+    the number of connected components.
 
-    Stable means: the graph is connected, lambda_1 vanishes (relative to the
-    largest degree), lambda_2 is negative, and the gap clears the closeness
-    threshold.
+    Stable means: the graph is connected, lambda_2 is negative, and the gap
+    clears the closeness threshold.
     """
     if g.n < 2:
         raise InputError("spectral stability needs at least 2 nodes")
@@ -131,23 +135,17 @@ def spectral_stability(
             f"closeness_threshold must be finite and >= 0, got {closeness_threshold}"
         )
     components = connected_components(g).count
-    if g.n <= DENSE_EIGEN_N:
+    lam1 = 0.0
+    if components > 1:
+        lam2 = 0.0
+    elif g.n <= DENSE_EIGEN_N:
         try:
-            w = np.linalg.eigvalsh(coupling_matrix(g))
+            lam2 = float(np.linalg.eigvalsh(coupling_matrix(g))[-2])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-        lam1 = float(w[-1])
-        lam2 = float(w[-2])
     else:
-        lam1 = 0.0
-        lam2 = 0.0 if components > 1 else -_algebraic_connectivity(g)
-    scale = float(max(g.degrees(), default=0))
-    stable = (
-        components == 1
-        and abs(lam1) <= 1e-8 * scale
-        and lam2 < 0.0
-        and (lam1 - lam2) >= closeness_threshold
-    )
+        lam2 = -_algebraic_connectivity(g)
+    stable = components == 1 and lam2 < 0.0 and -lam2 >= closeness_threshold
     return SpectralReport(
         lambda1=lam1,
         lambda2=lam2,
@@ -271,6 +269,34 @@ class SyncTrajectory:
     sync_error: np.ndarray
 
 
+def _refuse_unstable_step(g: Graph, cfg: SyncConfig) -> None:
+    """Refuse a step size at which RK4 makes a mode grow that decays in
+    exact arithmetic, judged from the largest degree alone.
+
+    For dynamics f(x) = A x ('linear:A', and 'zero' with A = 0) and no
+    Gamma, each mode of the system is z = A - c * lambda_i over the
+    Laplacian eigenvalues lambda_i, the largest of which is at least the
+    largest degree plus 1 on a graph with an edge (Grone & Merris, SIAM J.
+    Discrete Math. 7, 221, 1994). So when dt * (c * (max degree + 1) - A)
+    exceeds RK4_REAL_LIMIT, that mode has z < 0 and |R(dt z)| > 1: every
+    refusal is exact. Other dynamics, and steps this bound does not
+    settle, run as they are."""
+    name, _, arg = cfg.dynamics.strip().partition(":")
+    name = name.strip()
+    if name not in ("zero", "linear"):
+        return
+    rate = float(arg) if name == "linear" else 0.0
+    max_degree = int(np.diff(g.matrix.indptr).max())
+    reach = cfg.c * (max_degree + 1) - rate
+    if cfg.dt * reach > RK4_REAL_LIMIT:
+        raise InputError(
+            f"dt*(c*(max degree+1) - A) = {cfg.dt * reach:.6g} (max degree {max_degree}, "
+            f"A = {rate:g}) exceeds RK4's stability limit {RK4_REAL_LIMIT:.5g}, so a "
+            f"decaying mode would grow at every step; dt must be at most "
+            f"{RK4_REAL_LIMIT:.5g}/(c*(max degree+1) - A) = {RK4_REAL_LIMIT / reach:.6g}"
+        )
+
+
 def simulate(
     g: Graph, cfg: SyncConfig, x0: np.ndarray, keep_states: bool = False
 ) -> SyncTrajectory:
@@ -298,6 +324,8 @@ def simulate(
     gamma = cfg.inner_coupling
     if gamma is not None and not np.array_equal(gamma, np.eye(cfg.state_dim)):
         gamma_t = np.asarray(gamma, dtype=np.float64).T
+    if gamma_t is None and g.m and isinstance(cfg.dynamics, str):
+        _refuse_unstable_step(g, cfg)
     coupling = cfg.c * _coupling_operator(g)
     n, dim = x.shape
     tmp = np.empty((n, dim))

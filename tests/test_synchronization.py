@@ -76,7 +76,7 @@ class TestSpectralStability:
     def test_complete_graph_lambda2(self, n):
         rep = spectral_stability(complete(n))
         assert rep.lambda2 == pytest.approx(-n, abs=1e-8)
-        assert rep.lambda1 == pytest.approx(0.0, abs=1e-8)
+        assert rep.lambda1 == 0.0  # exactly, not eigvalsh's rounding noise
 
     def test_zero_multiplicity_counts_components(self):
         one = complete(4)
@@ -89,10 +89,10 @@ class TestSpectralStability:
     def test_disconnected_is_unstable(self):
         rep = spectral_stability(Graph(4, [(0, 1), (2, 3)]))
         assert not rep.stable
-        # eigvalsh puts lambda_2 a rounding error below 0 here, which a zero
-        # threshold would otherwise take as a gap
+        # lambda_2 is exactly 0 on a disconnected graph, so even a zero
+        # threshold finds no gap
         rep = spectral_stability(Graph(5, [(0, 1), (1, 2), (3, 4)]), 0.0)
-        assert rep.lambda2 < 0.0 and not rep.stable
+        assert rep.lambda2 == 0.0 and not rep.stable
 
     def test_edgeless_unstable(self):
         rep = spectral_stability(Graph(3))
@@ -324,6 +324,36 @@ class TestSimulate:
         with pytest.raises(DivergenceError) as exc:
             simulate(g, cfg, np.array([[50.0], [-40.0], [10.0]]))
         assert exc.value.time > 0
+
+    @pytest.mark.parametrize("dynamics, gamma, dt", [
+        ("zero", None, 0.0093),
+        ("zero", [[1.0]], 0.0093),
+        # A < 0 moves the mode of lambda_N further out: refused at dt 0.0092
+        ("linear:-3", None, 0.0092),
+    ])
+    def test_step_past_rk4_limit_is_refused(self, dynamics, gamma, dt):
+        """On the star K1,300, lambda_N = 301 = max degree + 1, so the bound
+        is exact: the allocating loop's error grows at the refused setting."""
+        star = Graph(301, [(0, i) for i in range(1, 301)])
+        cfg = SyncConfig(dt=dt, t_max=1000 * dt, dynamics=dynamics, inner_coupling=gamma)
+        x0 = np.random.default_rng(0).standard_normal((301, 1))
+        with pytest.raises(InputError, match="dt must be at most"):
+            simulate(star, cfg, x0)
+        errors, _ = allocating_rk4(star, cfg, x0)
+        assert errors[-1] > 1e6 * errors[0]
+
+    @pytest.mark.parametrize("dynamics, gamma", [
+        ("zero", None),  # dt * (max degree + 1) = 2.769, below the limit
+        ("linear:-1", None),
+        ("logistic:0.5", None),  # no degree bound is exact for these three
+        ("linear:-0.3", [[1.5]]),
+        (lambda x: -x, None),
+    ], ids=["zero", "linear", "logistic", "gamma", "callable"])
+    def test_step_the_bound_does_not_settle_runs(self, dynamics, gamma):
+        star = Graph(301, [(0, i) for i in range(1, 301)])
+        dt = 0.0092 if gamma is None and dynamics in ("zero", "linear:-1") else 0.0093
+        cfg = SyncConfig(dt=dt, t_max=100 * dt, dynamics=dynamics, inner_coupling=gamma)
+        simulate(star, cfg, np.random.default_rng(0).random((301, 1)))
 
     def test_x0_shape_mismatch(self):
         cfg = SyncConfig(dt=0.1, t_max=1.0)
