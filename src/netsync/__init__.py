@@ -40,7 +40,6 @@ from .synchronization import (
     SpectralReport,
     SyncConfig,
     SyncTrajectory,
-    coupling_matrix,
     fit_decay_rate,
     simulate,
     spectral_stability,

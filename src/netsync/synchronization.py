@@ -52,11 +52,6 @@ def _coupling_operator(g: Graph) -> sparse.csr_matrix:
     return (g.matrix - sparse.diags(degrees)).tocsr()
 
 
-def coupling_matrix(g: Graph) -> np.ndarray:
-    """Dense form of the sparse coupling operator."""
-    return _coupling_operator(g).toarray()
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     lambda1: float
@@ -140,7 +135,7 @@ def spectral_stability(
         lam2 = 0.0
     elif g.n <= DENSE_EIGEN_N:
         try:
-            lam2 = float(np.linalg.eigvalsh(coupling_matrix(g))[-2])
+            lam2 = float(np.linalg.eigvalsh(_coupling_operator(g).toarray())[-2])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     else:
@@ -156,57 +151,49 @@ def spectral_stability(
     )
 
 
-# -- node dynamics registry ----------------------------------------------------
+# -- node dynamics ----------------------------------------------------------------
 
 
 def _no_dynamics(x: np.ndarray) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _linear(alpha: float) -> Dynamics:
-    return lambda x: alpha * x
-
-
-def _logistic(r: float) -> Dynamics:
-    return lambda x: r * x * (1.0 - x)
-
-
-DYNAMICS_REGISTRY: dict[str, Callable[..., Dynamics]] = {
-    "zero": lambda: _no_dynamics,
-    "linear": _linear,
-    "logistic": _logistic,
-}
+def _parse_dynamics(spec: str) -> tuple[str, float | None]:
+    """The name of a dynamics spec and its parameter: 'zero' takes none, and
+    'linear:A' and 'logistic:R' take one finite number. Any other form is an
+    input error that names the spec."""
+    name, colon, arg = spec.strip().partition(":")
+    name = name.strip()
+    if name not in ("linear", "logistic", "zero"):
+        raise InputError(f"unknown dynamics {spec!r}; known: linear, logistic, zero")
+    if not colon:
+        if name != "zero":
+            raise InputError(
+                f"dynamics {spec!r}: {name!r} needs a parameter, e.g. {name}:0.5"
+            )
+        return name, None
+    try:
+        value = float(arg)
+    except ValueError:
+        raise InputError(
+            f"dynamics {spec!r}: parameter {arg.strip()!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise InputError(f"dynamics {spec!r}: parameter must be finite, got {value}")
+    if name == "zero":
+        raise InputError(f"dynamics {spec!r}: {name!r} takes no parameter")
+    return name, value
 
 
 def make_dynamics(spec: str) -> Dynamics:
-    """Resolve a dynamics spec: a registered name ('zero') or a name and its
-    parameter ('linear:0.5', 'logistic:2.0'). Any other form is an input
-    error that names the spec."""
-    name, colon, arg = spec.strip().partition(":")
-    name = name.strip()
-    if name not in DYNAMICS_REGISTRY:
-        known = ", ".join(sorted(DYNAMICS_REGISTRY))
-        raise InputError(f"unknown dynamics {spec!r}; known: {known}")
-    factory = DYNAMICS_REGISTRY[name]
-    if colon:
-        try:
-            value = float(arg)
-        except ValueError:
-            raise InputError(
-                f"dynamics {spec!r}: parameter {arg.strip()!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise InputError(f"dynamics {spec!r}: parameter must be finite, got {value}")
-        try:
-            return factory(value)
-        except TypeError:
-            raise InputError(f"dynamics {spec!r}: {name!r} takes no parameter") from None
-    try:
-        return factory()
-    except TypeError:
-        raise InputError(
-            f"dynamics {spec!r}: {name!r} needs a parameter, e.g. {name}:0.5"
-        ) from None
+    """The node dynamics f of a spec: 'zero', 'linear:A' (f(x) = A x) or
+    'logistic:R' (f(x) = R x (1 - x))."""
+    name, value = _parse_dynamics(spec)
+    if name == "linear":
+        return lambda x: value * x
+    if name == "logistic":
+        return lambda x: value * x * (1.0 - x)
+    return _no_dynamics
 
 
 @dataclass
@@ -243,12 +230,11 @@ class SyncConfig:
                 )
         steps = self.t_max / self.dt
         # times and errors; kept states (or the last); the stepper's working
-        # set of 11 states: x, the 4 stages, tmp, acc and the last state whose
-        # error repeated, and at most 3 temporaries at a time, those of f
-        # (logistic holds r*x, 1-x and their product), which outnumber
-        # Gamma's one copy
+        # set of 12 states: the 3 slots of its ring of states, the 4 stages,
+        # tmp, acc, and at most 3 temporaries at a time, those of f (logistic
+        # holds r*x, 1-x and their product), which outnumber Gamma's one copy
         rows = steps + 1.0
-        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 11)
+        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 12)
         check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
         # after the memory check, which refuses an infinite step count
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
@@ -281,11 +267,10 @@ def _refuse_unstable_step(g: Graph, cfg: SyncConfig) -> None:
     exceeds RK4_REAL_LIMIT, that mode has z < 0 and |R(dt z)| > 1: every
     refusal is exact. Other dynamics, and steps this bound does not
     settle, run as they are."""
-    name, _, arg = cfg.dynamics.strip().partition(":")
-    name = name.strip()
-    if name not in ("zero", "linear"):
+    name, value = _parse_dynamics(cfg.dynamics)
+    if name == "logistic":
         return
-    rate = float(arg) if name == "linear" else 0.0
+    rate = 0.0 if value is None else value
     max_degree = int(np.diff(g.matrix.indptr).max())
     reach = cfg.c * (max_degree + 1) - rate
     if cfg.dt * reach > RK4_REAL_LIMIT:
@@ -303,11 +288,11 @@ def simulate(
     """Integrate with fixed-step RK4, recording the per-step worst-case deviation
     from the state mean; every step's state is kept only for ``keep_states``.
 
-    The run stops early, with exact results, soon after the state returns,
-    bit for bit, to that of one step before (a fixed point) or of two steps
-    before (a cycle of period 2): a step reads nothing but the state, so
-    every later step would repeat it, and the rest of the error series (and
-    of the kept states) repeats the last one or two. A callable
+    The run stops early, with exact results, at the first step that returns,
+    bit for bit, the state of one step before (a fixed point) or of two
+    steps before (a cycle of period 2): a step reads nothing but the state,
+    so every later step would repeat it, and the rest of the error series
+    (and of the kept states) repeats the last one or two. A callable
     ``cfg.dynamics`` must therefore be a function of the state alone."""
     if g.n == 0:
         raise InputError("simulation needs at least 1 node")
@@ -317,6 +302,9 @@ def simulate(
         x = x[:, None]
     if x.shape != (g.n, cfg.state_dim):
         raise InputError(f"x0 must have shape ({g.n}, {cfg.state_dim}), got {x.shape}")
+    if not np.isfinite(x).all():
+        node = int(np.nonzero(~np.isfinite(x))[0][0])
+        raise InputError(f"x0 must be finite, got {x[node].tolist()} at node {node}")
     f = cfg.resolve_dynamics()
     # Gamma^T, or None for no Gamma or an exact identity; a Gamma merely
     # close to the identity is a different system and is applied
@@ -353,13 +341,19 @@ def simulate(
     # csr_matvecs for several), which adds each row's products in CSR order
     # to the zero it finds in its output; every other operation is one that
     # the allocating RK4 expression evaluates, in its order, so the outputs
-    # are that expression's bits. The kernel reads a C-ordered state.
-    x = np.ascontiguousarray(x)
+    # are that expression's bits. The kernel reads a C-ordered state, which
+    # every slot of the ring is: ring[s % 3] holds x(s), and step s reads
+    # the slot of x(s - 1) and writes x(s) over that of x(s - 3), so the
+    # states of the two steps before stay in place without a copy.
+    ring = np.empty((3, n, dim))
+    ring[0] = x
+    # each slot as a state, its flat view and its bit patterns
+    slots = list(zip(ring, ring.reshape(3, -1), ring.view(np.uint64)))
     ks = np.empty((4, n, dim))
     acc = np.empty((n, dim))
     k1, k2, k3, k4 = ks
     k1_flat, k2_flat, k3_flat, k4_flat = ks.reshape(4, -1)
-    x_flat, tmp_flat = x.reshape(-1), tmp.reshape(-1)
+    tmp_flat = tmp.reshape(-1)
     csr = (coupling.indptr, coupling.indices, coupling.data)
     if dim == 1:
         product = partial(_sparsetools.csr_matvec, n, n, *csr)
@@ -375,66 +369,56 @@ def simulate(
         if f is not _no_dynamics:
             np.add(f(state), out, out=out)
 
-    def advance() -> None:
-        # x <- x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
-        ks.fill(0.0)
-        deriv(x, x_flat, k1, k1_flat)
-        np.add(x, np.multiply(k1, 0.5 * h, out=tmp), out=tmp)
-        deriv(tmp, tmp_flat, k2, k2_flat)
-        np.add(x, np.multiply(k2, 0.5 * h, out=tmp), out=tmp)
-        deriv(tmp, tmp_flat, k3, k3_flat)
-        np.add(x, np.multiply(k3, h, out=tmp), out=tmp)
-        deriv(tmp, tmp_flat, k4, k4_flat)
-        np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-        np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
-        np.add(acc, k4, out=acc)
-        np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
-
     # The step map reads x alone: ks, tmp, acc and centre are rewritten
     # before they are read, Gamma and the coupling are fixed, and f takes no
     # t. So once a step returns the state of one or of two steps before, bit
     # for bit, every later step repeats that state or that pair of states,
     # and the loop stops there. Such a step repeats that step's error, so
-    # only then is x copied into `last`, for one of the next two steps to
-    # compare with by bit pattern, where -0.0 and +0.0 differ. `armed` is the
-    # step whose state `last` holds; -2 lies below every step it is compared
-    # with.
-    last = np.empty((n, dim))
-    x_bits, last_bits = x.view(np.uint64), last.view(np.uint64)
-    previous, before, armed = float(errors[0]), math.nan, -2
+    # only then are the slots compared, by bit pattern, where -0.0 and +0.0
+    # differ. The error before step 1 is nan, which equals no error.
+    previous, before = float(errors[0]), math.nan
 
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            advance()
-            errors[step] = error = float(max_deviation(x))
+            x, x_flat, x_bits = slots[(step - 1) % 3]
+            new, _, new_bits = slots[step % 3]
+            # new <- x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+            ks.fill(0.0)
+            deriv(x, x_flat, k1, k1_flat)
+            np.add(x, np.multiply(k1, 0.5 * h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k2, k2_flat)
+            np.add(x, np.multiply(k2, 0.5 * h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k3, k3_flat)
+            np.add(x, np.multiply(k3, h, out=tmp), out=tmp)
+            deriv(tmp, tmp_flat, k4, k4_flat)
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(x, np.multiply(acc, h / 6.0, out=acc), out=new)
+            errors[step] = error = float(max_deviation(new))
             if not math.isfinite(error):
                 raise DivergenceError(
                     f"state became non-finite at t={times[step]:.6g}",
                     time=float(times[step]),
                 )
             if keep_states:
-                states[step] = x
-            if error == previous or error == before:
-                if armed >= step - 2 and np.array_equal(x_bits, last_bits):
-                    # from here x alternates with the previous state, which
-                    # is x itself when the step returned its input
-                    errors[step + 1::2] = previous
-                    errors[step + 2::2] = error
-                    if keep_states:
-                        states[step + 1::2] = states[step - 1]
-                        states[step + 2::2] = x
-                    elif armed < step - 1 and (steps - step) % 2:
-                        advance()  # the last state is the previous one
-                    break
-                # a state armed one step ago waits for its second compare
-                if armed != step - 1:
-                    np.copyto(last, x)
-                    armed = step
+                states[step] = new
+            if ((error == previous and np.array_equal(new_bits, x_bits))
+                    or (error == before and np.array_equal(new_bits, slots[(step - 2) % 3][2]))):
+                # from here the state alternates with the previous one, which
+                # is itself when the step returned its input
+                errors[step + 1::2] = previous
+                errors[step + 2::2] = error
+                if keep_states:
+                    states[step + 1::2] = states[step - 1]
+                    states[step + 2::2] = new
+                break
             before, previous = previous, error
     if not keep_states:
-        states[0] = x
+        # the state at t_max: that of this step, or of the one before
+        states[0] = ring[(step - (steps - step) % 2) % 3]
     return SyncTrajectory(times, states, errors)
 
 

@@ -6,7 +6,8 @@ distances come from the same enumeration. Only usable on tiny graphs. A
 per-node queue BFS, the closeness read from it, and a per-node count of the
 links among a node's neighbors serve graphs too large to enumerate.
 ``dense_brandes`` is the dense form of the library's Brandes sweep, whose
-bits the library must reproduce. ``power_law_ks`` measures a power-law fit
+bits the library must reproduce, and ``coupling_matrix`` the dense form of
+its sparse coupling operator. ``power_law_ks`` measures a power-law fit
 at every integer of the tail, where the library measures it at the points
 that can hold the maximum.
 """
@@ -146,6 +147,13 @@ def dense_brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             delta += sigma * (a @ coeff) * (level == k - 1)
         between += delta.sum(axis=1)
     return sums, between
+
+
+def coupling_matrix(g: Graph) -> np.ndarray:
+    """Dense coupling matrix from the adjacency matrix: a_ij = 1 on edges and
+    a_ii = -k_i, minus the sum of the row."""
+    a = g.matrix.toarray()
+    return a - np.diag(a.sum(axis=1))
 
 
 def power_law_ks(degrees, gamma: float, k_min: int) -> float:

@@ -25,7 +25,6 @@ from netsync.report import PipelineConfig, report_to_json, run_pipeline
 from netsync.resilience import RandomError, TargetedAttack, run_resilience
 from netsync.synchronization import (
     SyncConfig,
-    coupling_matrix,
     fit_decay_rate,
     simulate,
     spectral_stability,

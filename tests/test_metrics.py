@@ -26,6 +26,7 @@ from oracles import (
     brute_force_betweenness,
     brute_force_distance,
     closeness_centrality,
+    coupling_matrix,
     dense_brandes,
     shortest_path_lengths,
 )
@@ -280,7 +281,6 @@ class TestEigenvector:
 
     def test_residual_invariant(self):
         from netsync.generators import BAParams, generate_ba
-        from netsync.synchronization import coupling_matrix
 
         g = generate_ba(BAParams(n=300, m=2, seed=5))
         v = eigenvector_centrality(g)

@@ -21,12 +21,13 @@ from netsync.synchronization import (
     SyncConfig,
     _coupling_operator,
     _sparsetools,
-    coupling_matrix,
     fit_decay_rate,
     make_dynamics,
     simulate,
     spectral_stability,
 )
+
+from oracles import coupling_matrix
 
 
 def complete(n):
@@ -41,28 +42,37 @@ def graphs(draw, max_n=10):
     return Graph(n, [pairs[i] for i in sorted(chosen)])
 
 
+def dense_operator(g):
+    return _coupling_operator(g).toarray()
+
+
 class TestCouplingMatrix:
     def test_single_edge(self):
         assert np.array_equal(
-            coupling_matrix(Graph(2, [(0, 1)])), [[-1.0, 1.0], [1.0, -1.0]]
+            dense_operator(Graph(2, [(0, 1)])), [[-1.0, 1.0], [1.0, -1.0]]
         )
 
     def test_triangle(self):
-        c = coupling_matrix(complete(3))
+        c = dense_operator(complete(3))
         assert np.array_equal(np.diag(c), [-2.0, -2.0, -2.0])
         off = c[~np.eye(3, dtype=bool)]
         assert np.array_equal(off, np.ones(6))
 
     def test_isolated_row_zero(self):
-        c = coupling_matrix(Graph(3, [(0, 1)]))
+        c = dense_operator(Graph(3, [(0, 1)]))
         assert np.array_equal(c[2], [0.0, 0.0, 0.0])
 
     @given(graphs())
     @settings(max_examples=40)
     def test_rows_sum_exactly_zero(self, g):
-        c = coupling_matrix(g)
+        c = dense_operator(g)
         assert np.array_equal(c.sum(axis=1), np.zeros(g.n))
         assert np.array_equal(c, c.T)
+
+    @given(graphs())
+    @settings(max_examples=40)
+    def test_oracle_equals_operator(self, g):
+        assert np.array_equal(coupling_matrix(g), dense_operator(g))
 
 
 class TestSpectralStability:
@@ -355,6 +365,13 @@ class TestSimulate:
         cfg = SyncConfig(dt=dt, t_max=100 * dt, dynamics=dynamics, inner_coupling=gamma)
         simulate(star, cfg, np.random.default_rng(0).random((301, 1)))
 
+    @pytest.mark.parametrize("x0", [[0.0, math.nan, 1.0], [0.0, 1.0, -math.inf]])
+    def test_non_finite_x0_is_refused(self, x0, recwarn):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match="x0 must be finite"):
+            simulate(g, SyncConfig(t_max=1.0), x0)
+        assert not recwarn.list
+
     def test_x0_shape_mismatch(self):
         cfg = SyncConfig(dt=0.1, t_max=1.0)
         with pytest.raises(InputError):
@@ -374,17 +391,9 @@ class TestSimulate:
         assert np.array_equal(traj.states[-1][:, 1], x0[:, 1])
 
 
-def dense_coupling(g):
-    """a_ij = 1 on edges, a_ii = -k_i, built from the edge list."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a - np.diag(a.sum(axis=1))
-
-
 def dense_rk4_errors(g, cfg, x0):
     """Sync error series of a dense-matrix RK4 loop."""
-    a = dense_coupling(g)
+    a = coupling_matrix(g)
     f = cfg.resolve_dynamics()
     gamma = np.eye(cfg.state_dim) if cfg.inner_coupling is None else cfg.inner_coupling
     deriv = lambda s: f(s) + cfg.c * (a @ s) @ gamma.T  # noqa: E731
@@ -435,7 +444,7 @@ class TestSparsePath:
         cfg = SyncConfig(c=0.7, dt=0.01, t_max=4.0, dynamics="zero")
         x0 = np.random.default_rng(5).standard_normal((g.n, 1))
         traj = simulate(g, cfg, x0)
-        w, v = np.linalg.eigh(dense_coupling(g))
+        w, v = np.linalg.eigh(coupling_matrix(g))
         late = traj.times >= 1.0
         modes = np.exp(cfg.c * np.outer(traj.times[late], w)) * (v.T @ x0[:, 0])
         exact = modes @ v.T  # (times, nodes)
@@ -627,11 +636,11 @@ class TestBitwiseOracle:
         if not converges:
             assert not same.any() and len(calls) == 4 * steps
             return
-        # a state repeats first at step s; its error repeats too, so the step
-        # after s, at the latest, compares with the state it keeps and stops
+        # a state repeats first at step s; its error repeats too, so step s
+        # compares it with the state of the step before and stops
         first = int(np.argmax(same)) + 1
         assert same[first - 1:].all()
-        assert 4 * first <= len(calls) <= 4 * (first + 1) < 4 * steps
+        assert len(calls) == 4 * first < 4 * steps
 
     @pytest.mark.parametrize("t_max", [59.99, 60.0])
     def test_equals_allocating_loop_past_period_two_cycle(self, t_max):
@@ -664,10 +673,33 @@ class TestBitwiseOracle:
         assert same[first:].all() and first == 2953
         calls = count_products(monkeypatch)
         simulate(g, cfg, x0)
-        # a state stays armed for two steps, so the compare that finds the
-        # cycle comes at step first + 2 or first + 3; one more step may
-        # follow, to give the last state, the other one of the pair
-        assert 4 * (first + 2) <= len(calls) <= 4 * (first + 4)
+        # step first + 2 repeats the error and the state of two steps before,
+        # and no step follows it
+        assert len(calls) == 4 * (first + 2)
+
+    def test_period_three_cycle_runs_every_step(self, monkeypatch):
+        # without edges each node follows f alone; at dt=1 the step maps 2 to
+        # 11/6, 11/6 to 0.5 and 0.5 to 2, and each node starts at one phase of
+        # that 3-cycle, so the error repeats at every step while no state
+        # equals either of the two before it
+        # f(x) = table[floor(x) + 4] on [-4, 4), and the last entry, 0, elsewhere
+        table = np.array([5.0, -1.0, 5.0, 4.0, 3.0, -4.0, 3.0, -6.0, 0.0])
+
+        def f(x):
+            cell = np.floor(x) + 4.0
+            return table[np.where((cell >= 0.0) & (cell < 8.0), cell, 8.0).astype(int)]
+
+        g, cfg = Graph(3), SyncConfig(c=1.0, dt=1.0, t_max=12.0, dynamics=f)
+        x0 = np.array([2.0, 11.0 / 6.0, 0.5])
+        states = assert_equals_allocating_loop(g, cfg, x0)
+        errors = allocating_rk4(g, cfg, x0)[0]
+        assert (errors[1:] == errors[0]).all()
+        assert not (bits(states[1:]) == bits(states[:-1])).all(axis=(1, 2)).any()
+        assert not (bits(states[2:]) == bits(states[:-2])).all(axis=(1, 2)).any()
+        assert np.array_equal(bits(states[3:]), bits(states[:-3]))
+        calls = count_products(monkeypatch)
+        simulate(g, cfg, x0)
+        assert len(calls) == 4 * 12
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -746,8 +778,8 @@ class TestConfigValidation:
 
     def test_rk4_working_set_must_fit_in_memory(self):
         # one state is a tenth of physical memory; besides the stored state
-        # the stepper holds 11: x, the 4 stages, tmp, acc, the last state
-        # whose error repeated and up to 3 temporaries of f or Gamma
+        # the stepper holds 12: the 3 slots of its ring of states, the 4
+        # stages, tmp, acc and up to 3 temporaries of f or Gamma
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(InputError, match="bytes"):
             SyncConfig(dt=0.1, t_max=1.0).validate(n=memory // 80)
