@@ -17,7 +17,6 @@ from .generators import BAParams, ERParams, generate_ba, generate_er
 from .metrics import (
     GraphSummary,
     NodeStats,
-    average_path_length,
     betweenness_centrality,
     degree_distribution,
     diameter,
@@ -33,7 +32,6 @@ from .resilience import (
     RandomError,
     ResilienceTrace,
     TargetedAttack,
-    run_error_ensemble,
     run_resilience,
 )
 from .synchronization import (

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sync = sub.add_parser("sync", help="spectral stability / coupled simulation")
     p_sync.add_argument("--edge-list", required=True)
     p_sync.add_argument("--spectral-only", action="store_true")
-    p_sync.add_argument("--closeness-threshold", type=float, default=None)
     p_sync.add_argument("--dynamics", default="zero", help="zero | linear:A | logistic:R")
     p_sync.add_argument("--c", type=float, default=1.0)
     p_sync.add_argument("--dt", type=float, default=0.01)
@@ -167,7 +166,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 def _cmd_sync(args: argparse.Namespace) -> int:
     result = ingest_edge_list(args.edge_list)
     if args.spectral_only:
-        _emit(to_json(spectral_stability(result.graph, args.closeness_threshold)), args.out)
+        _emit(to_json(spectral_stability(result.graph)), args.out)
         return 0
     cfg = SyncConfig(
         c=args.c,

@@ -81,27 +81,14 @@ class Graph:
         if not (0 <= i < self.n):
             raise InputError(f"node id {i} out of range for n={self.n}")
 
-    def degree(self, i: NodeId) -> int:
-        self._check_node(i)
-        return int(self.matrix.indptr[i + 1] - self.matrix.indptr[i])
-
     def degrees(self) -> list[int]:
         return np.diff(self.matrix.indptr).tolist()
-
-    def _row(self, i: NodeId) -> np.ndarray:
-        return self.matrix.indices[self.matrix.indptr[i] : self.matrix.indptr[i + 1]]
 
     def neighbors(self, i: NodeId) -> list[NodeId]:
         """Sorted neighbor ids of ``i`` (a copy; never contains ``i``)."""
         self._check_node(i)
-        return self._row(i).tolist()
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        nbrs = self._row(u)
-        pos = int(nbrs.searchsorted(v))
-        return pos < len(nbrs) and int(nbrs[pos]) == v
+        a = self.matrix
+        return a.indices[a.indptr[i] : a.indptr[i + 1]].tolist()
 
     def edges(self) -> Iterator[Edge]:
         """Each undirected edge once, as (u, v) with u < v, in sorted order."""

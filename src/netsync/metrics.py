@@ -2,15 +2,14 @@
 
 All functions are pure reads of an immutable graph, and each metric runs
 its own kernel. Every BFS runs 64 to a machine word on one bit-parallel
-kernel: the path lengths of ``summarize`` and ``average_path_length``;
-iFUB from a double-sweep start, which measures ``diameter`` and a stack of
-resilience rows, each a node mask of one graph, with a few BFS on most
-graphs; and the levels of Brandes' sweep (``_brandes``), which gives
-closeness and betweenness. That sweep counts shortest paths and
-accumulates dependencies by sparse products on each level's rows, and
-reduces them in a fixed block order. Local clustering is one sparse
-triangle count. Eigenvector centrality is power iteration on the adjacency
-matrix of the largest component.
+kernel: the path lengths of ``summarize``; iFUB from a double-sweep
+start, which measures ``diameter`` and a stack of resilience rows, each a
+node mask of one graph, with a few BFS on most graphs; and the levels of
+Brandes' sweep (``_brandes``), which gives closeness and betweenness. That
+sweep counts shortest paths and accumulates dependencies by sparse
+products on each level's rows, and reduces them in a fixed block order.
+Local clustering is one sparse triangle count. Eigenvector centrality is
+power iteration on the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
@@ -196,34 +195,6 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return sums, between
 
 
-@dataclass(frozen=True)
-class PathLengthStats:
-    mean: float
-    unreachable_fraction: float
-    reachable_pairs: int
-
-
-def _path_length_stats(n: int, sweep: Sweep) -> PathLengthStats:
-    # a sweep over every source sees each unordered pair from both ends
-    if n < 2:
-        raise InputError("average path length needs at least 2 nodes")
-    reachable = int(sweep.reached.sum()) // 2
-    if reachable == 0:
-        raise DegenerateInputError("no reachable pairs: all nodes are isolated")
-    total = n * (n - 1) // 2
-    return PathLengthStats(
-        mean=int(sweep.dist_sums.sum()) // 2 / reachable,
-        unreachable_fraction=(total - reachable) / total,
-        reachable_pairs=reachable,
-    )
-
-
-def average_path_length(g: Graph) -> PathLengthStats:
-    """Mean distance over unordered reachable pairs, with the fraction of
-    pairs that are unreachable reported alongside."""
-    return _path_length_stats(g.n, _forward_sweep(g))
-
-
 def _largest_component_diameter(g: Graph, members: np.ndarray) -> np.ndarray:
     """Exact diameter of each row of the (rows, n) bool ``members``, a
     connected component of ``g`` less some nodes; 0 for a single node.
@@ -385,14 +356,14 @@ def summarize(g: Graph) -> GraphSummary:
     diameter."""
     parts = connected_components(g)
     sweep = _forward_sweep(g)
+    # a sweep over every source sees each unordered pair from both ends
+    reachable = int(sweep.reached.sum()) // 2
+    total = g.n * (g.n - 1) // 2
     apl = frac = None
+    if reachable:
+        apl = int(sweep.dist_sums.sum()) // 2 / reachable
+        frac = (total - reachable) / total
     clust = global_clustering(g) if g.n >= 1 else None
-    try:
-        stats = _path_length_stats(g.n, sweep)
-        apl = stats.mean
-        frac = stats.unreachable_fraction
-    except (InputError, DegenerateInputError):
-        pass
     largest = parts.largest()
     return GraphSummary(
         n=g.n,

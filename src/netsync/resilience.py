@@ -15,7 +15,6 @@ masks of the input at a time (``metrics._largest_component_diameter``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -52,21 +51,6 @@ class ResilienceTrace:
     initial_n: int
     rows: list[TraceRow]
     kind: str = field(default="single", init=False)
-
-    def fraction_when_lcc_below(self, threshold: int) -> float | None:
-        """First recorded removal fraction with largest component < threshold."""
-        for row in self.rows:
-            if row.lcc_size < threshold:
-                return row.fraction_removed
-        return None
-
-    def diameter_at(self, fraction: float) -> int:
-        """Diameter at the last recorded row with fraction <= the requested one."""
-        best = self.rows[0]
-        for row in self.rows:
-            if row.fraction_removed <= fraction:
-                best = row
-        return best.diameter
 
 
 def _removal_order(g: Graph, strategy: RemovalStrategy) -> list[int]:
@@ -214,23 +198,25 @@ class EnsembleTrace:
     strategy: str = field(default="error", init=False)
 
 
-def run_error_ensemble(
-    g: Graph,
-    seeds: Sequence[int],
-    record_every: float = 0.02,
-) -> EnsembleTrace:
-    """Random-error runs for ``seeds`` (any sequence, such as a range),
-    their rows merged in seed order. The (seeds, rows, 3) int64 array of
-    every run's rows is checked against physical memory before any run."""
-    if not seeds:
-        raise InputError("ensemble needs at least one seed")
+def run_removals(
+    g: Graph, strategy: RemovalStrategy, seeds: int, record_every: float
+) -> ResilienceTrace | EnsembleTrace:
+    """The removal sweep a run asks for: one trace for an attack or for an
+    error run with one seed, otherwise the error ensemble over the ``seeds``
+    consecutive seeds from ``strategy.seed``, each row the median, min and
+    max over those runs. The (seeds, rows, 3) int64 array of every run's
+    rows is checked against physical memory before any run."""
+    if seeds < 1:
+        raise InputError(f"removal sweep needs at least one seed, got {seeds}")
+    if isinstance(strategy, TargetedAttack) or seeds == 1:
+        return run_resilience(g, strategy, record_every)
     recorded = _recorded(g.n, record_every)
-    check_memory(24.0 * len(seeds) * len(recorded), f"the rows of {len(seeds)} error runs")
-    seeds = sorted(seeds)
+    check_memory(24.0 * seeds * len(recorded), f"the rows of {seeds} error runs")
+    first = strategy.seed
     # (run, row, quantity) for the quantities diameter, lcc_size, components
-    runs = np.empty((len(seeds), len(recorded), 3), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        trace = run_resilience(g, RandomError(seed=seed), record_every)
+    runs = np.empty((seeds, len(recorded), 3), dtype=np.int64)
+    for i in range(seeds):
+        trace = run_resilience(g, RandomError(seed=first + i), record_every)
         runs[i] = [(row.diameter, row.lcc_size, row.components) for row in trace.rows]
     median, low, high = np.median(runs, axis=0), runs.min(axis=0), runs.max(axis=0)
     rows = []
@@ -239,15 +225,4 @@ def run_error_ensemble(
         for q in range(3):
             stats += [float(median[i, q]), int(low[i, q]), int(high[i, q])]
         rows.append(EnsembleRow(k / g.n, *stats))
-    return EnsembleTrace(seeds=seeds, initial_n=g.n, rows=rows)
-
-
-def run_removals(
-    g: Graph, strategy: RemovalStrategy, seeds: int, record_every: float
-) -> ResilienceTrace | EnsembleTrace:
-    """The removal sweep a run asks for: one trace for an attack or for an
-    error run with one seed, otherwise the error ensemble over the ``seeds``
-    consecutive seeds from ``strategy.seed``."""
-    if isinstance(strategy, TargetedAttack) or seeds == 1:
-        return run_resilience(g, strategy, record_every)
-    return run_error_ensemble(g, range(strategy.seed, strategy.seed + seeds), record_every)
+    return EnsembleTrace(seeds=list(range(first, first + seeds)), initial_n=g.n, rows=rows)

@@ -62,12 +62,6 @@ class SpectralReport:
     closeness_threshold: float
 
 
-def default_closeness_threshold(g: Graph) -> float:
-    """0.1 * max(1, mean degree); overridable wherever a report is built."""
-    mean_degree = 2.0 * g.m / g.n if g.n else 0.0
-    return 0.1 * max(1.0, mean_degree)
-
-
 def _algebraic_connectivity(g: Graph) -> float:
     """lambda_2 of the Laplacian L of a connected graph, without a dense matrix.
 
@@ -100,9 +94,7 @@ def _algebraic_connectivity(g: Graph) -> float:
     return float(1.0 / theta - SHIFT)
 
 
-def spectral_stability(
-    g: Graph, closeness_threshold: float | None = None
-) -> SpectralReport:
+def spectral_stability(g: Graph) -> SpectralReport:
     """lambda_1 and lambda_2 of the coupling matrix, and whether the
     synchronized state is stable.
 
@@ -114,8 +106,9 @@ def spectral_stability(
     connectivity from a sparse shift-invert solve. The zero multiplicity is
     the number of connected components.
 
-    Stable means: the graph is connected, lambda_2 is negative, and the gap
-    clears the closeness threshold.
+    Stable means that the gap clears the closeness threshold, fixed at
+    0.1 * max(1, mean degree) and reported; as that is at least 0.1, a
+    stable graph is connected.
     """
     if g.n < 2:
         raise InputError("spectral stability needs at least 2 nodes")
@@ -123,12 +116,7 @@ def spectral_stability(
         raise InputError(
             f"spectral stability limited to n <= {MAX_EIGEN_N}, got {g.n}"
         )
-    if closeness_threshold is None:
-        closeness_threshold = default_closeness_threshold(g)
-    elif not (math.isfinite(closeness_threshold) and closeness_threshold >= 0):
-        raise InputError(
-            f"closeness_threshold must be finite and >= 0, got {closeness_threshold}"
-        )
+    threshold = 0.1 * max(1.0, 2.0 * g.m / g.n)
     components = connected_components(g).count
     lam1 = 0.0
     if components > 1:
@@ -140,14 +128,13 @@ def spectral_stability(
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     else:
         lam2 = -_algebraic_connectivity(g)
-    stable = components == 1 and lam2 < 0.0 and -lam2 >= closeness_threshold
     return SpectralReport(
         lambda1=lam1,
         lambda2=lam2,
         gap=lam1 - lam2,
-        stable=bool(stable),
+        stable=-lam2 >= threshold,
         zero_multiplicity=components,
-        closeness_threshold=float(closeness_threshold),
+        closeness_threshold=threshold,
     )
 
 
@@ -293,7 +280,8 @@ def simulate(
     steps before (a cycle of period 2): a step reads nothing but the state,
     so every later step would repeat it, and the rest of the error series
     (and of the kept states) repeats the last one or two. A callable
-    ``cfg.dynamics`` must therefore be a function of the state alone."""
+    ``cfg.dynamics`` must therefore be a function of the state alone. An
+    ``x0`` that is not finite, or whose step-0 error overflows, is refused."""
     if g.n == 0:
         raise InputError("simulation needs at least 1 node")
     cfg.validate(g.n, keep_states)
@@ -333,7 +321,6 @@ def simulate(
     states = np.empty((steps + 1 if keep_states else 1, n, dim))
     states[0] = x
     errors = np.empty(steps + 1)
-    errors[0] = max_deviation(x)
     h = cfg.dt
 
     # Every step reuses these buffers. The coupling product calls the CSR
@@ -376,11 +363,14 @@ def simulate(
     # and the loop stops there. Such a step repeats that step's error, so
     # only then are the slots compared, by bit pattern, where -0.0 and +0.0
     # differ. The error before step 1 is nan, which equals no error.
-    previous, before = float(errors[0]), math.nan
+    before = math.nan
 
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
+        errors[0] = previous = float(max_deviation(x))
+        if not math.isfinite(previous):
+            raise InputError("x0 overflows float64 in a column sum or a deviation from the mean")
         for step in range(1, steps + 1):
             x, x_flat, x_bits = slots[(step - 1) % 3]
             new, _, new_bits = slots[step % 3]

@@ -9,7 +9,8 @@ links among a node's neighbors serve graphs too large to enumerate.
 bits the library must reproduce, and ``coupling_matrix`` the dense form of
 its sparse coupling operator. ``power_law_ks`` measures a power-law fit
 at every integer of the tail, where the library measures it at the points
-that can hold the maximum.
+that can hold the maximum. ``fraction_when_lcc_below`` and ``diameter_at``
+read the rows of a removal trace as the resilience criteria state them.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ def shortest_path_lengths(g: Graph, source: int) -> list[float]:
 def closeness_centrality(g: Graph, i: int) -> float:
     """Reciprocal of the sum of distances from ``i`` to every node it can
     reach. On disconnected graphs this is a within-component score."""
-    g._check_node(i)
-    if g.degree(i) == 0:
+    if not g.neighbors(i):
         raise DegenerateInputError(f"closeness undefined for isolated node {i}")
     return 1.0 / sum(d for d in shortest_path_lengths(g, i) if d != math.inf)
 
@@ -166,3 +166,21 @@ def power_law_ks(degrees, gamma: float, k_min: int) -> float:
     emp = np.searchsorted(tail, grid, side="right") / tail.size
     fitted = 1.0 - zeta(gamma, grid + 1) / zeta(gamma, k_min)
     return float(np.abs(emp - fitted).max())
+
+
+def fraction_when_lcc_below(rows, threshold: int) -> float | None:
+    """First recorded removal fraction whose largest component is smaller
+    than ``threshold``; None if no row's is."""
+    for row in rows:
+        if row.lcc_size < threshold:
+            return row.fraction_removed
+    return None
+
+
+def diameter_at(rows, fraction: float) -> int:
+    """Diameter at the last recorded row with at most ``fraction`` removed."""
+    best = rows[0]
+    for row in rows:
+        if row.fraction_removed <= fraction:
+            best = row
+    return best.diameter

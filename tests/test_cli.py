@@ -212,11 +212,9 @@ def test_one_parser_keeps_nothing_between_calls(ba_file, tmp_path):
     assert main([*res, "attack", "--out", str(tmp_path / "attack.csv")]) == 0
 
 
-# each changes the output of a default sync run; the closeness threshold
-# changes the --spectral-only report
+# each changes the output of a default sync run
 SYNC_OPTIONS = [["--c", "2"], ["--dt", "0.02"], ["--tmax", "10"], ["--state-dim", "2"],
-                ["--dynamics", "linear:-0.5"], ["--seed", "1"], ["--full"],
-                ["--closeness-threshold", "0.5"]]
+                ["--dynamics", "linear:-0.5"], ["--seed", "1"], ["--full"]]
 
 
 def subcommand_options(command):
@@ -231,8 +229,6 @@ def test_every_sync_option_reaches_the_output(ba_file, tmp_path, option):
     structural = {"-h", "--help", "--edge-list", "--out", "--spectral-only"}
     assert subcommand_options("sync") - structural == {o[0] for o in SYNC_OPTIONS}
     sync = ["sync", "--edge-list", str(ba_file)]
-    if option[0] == "--closeness-threshold":
-        sync.append("--spectral-only")
     default, changed = tmp_path / "default.out", tmp_path / "changed.out"
     assert main([*sync, "--out", str(default)]) == 0
     assert main([*sync, *option, "--out", str(changed)]) == 0
@@ -381,9 +377,6 @@ class TestExitCodes:
             (["--dt", "0.6", "--tmax", "1"], "got t_max=1.0, dt=0.6"),
             (["--dt", "0.7", "--tmax", "1"], "got t_max=1.0, dt=0.7"),
             (["--state-dim", "-1"], "state_dim"),
-            (["--spectral-only", "--closeness-threshold", "nan"], "closeness_threshold"),
-            (["--spectral-only", "--closeness-threshold", "inf"], "closeness_threshold"),
-            (["--spectral-only", "--closeness-threshold", "-1000"], "closeness_threshold"),
             (["--dynamics", "logistic(2"], "'logistic(2'"),
             (["--dynamics", "linear:0.5)))"], "'linear:0.5)))'"),
             (["--dynamics", "zero)"], "'zero)'"),
@@ -391,8 +384,7 @@ class TestExitCodes:
         ],
         ids=["dt-nan", "tmax-nan", "tmax-inf", "c-nan", "tmax-1e15",
              "dt-1e-300", "full-states", "dt-overshoots-tmax", "dt-stops-short-of-tmax",
-             "state-dim-negative", "closeness-nan", "closeness-inf", "closeness-negative",
-             "dynamics-open-paren", "dynamics-close-parens", "dynamics-name-paren",
+             "state-dim-negative", "dynamics-open-paren", "dynamics-close-parens", "dynamics-name-paren",
              "dynamics-nan"],
     )
     def test_bad_sync_numbers(self, ba_file, capsys, args, named):
@@ -611,8 +603,7 @@ def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory
                   st.sampled_from([["--strategy", "attack"], ["--strategy", "error"]]),
                   numbers(seeds="3", seed="1", record_every="0.25")),
         st.tuples(st.just(["sync", *edge_list]), st.sampled_from([[], ["--spectral-only"]]),
-                  numbers(c="1", dt="0.1 0.6", tmax="1", state_dim="2",
-                          closeness_threshold="0.5"),
+                  numbers(c="1", dt="0.1 0.6", tmax="1", state_dim="2"),
                   # linear:1e10 overflows at dt 0.1, t_max 1: a divergence, exit 3
                   st.sampled_from(["zero", "linear:-0.3", "logistic:2", "linear:1e10",
                                    "bogus", "linear:x"]).map(lambda d: ["--dynamics", d])),

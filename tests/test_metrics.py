@@ -11,7 +11,6 @@ from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync import metrics
 from netsync.metrics import (
-    average_path_length,
     betweenness_centrality,
     degree_distribution,
     diameter,
@@ -86,26 +85,25 @@ class TestShortestPaths:
 class TestAveragePathLength:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_complete_graphs(self, n):
-        assert average_path_length(complete(n)).mean == 1.0
+        assert summarize(complete(n)).average_path_length == 1.0
 
     def test_p3(self):
-        stats = average_path_length(path(3))
-        assert stats.mean == pytest.approx(4.0 / 3.0, abs=1e-15)
-        assert stats.unreachable_fraction == 0.0
+        s = summarize(path(3))
+        assert s.average_path_length == pytest.approx(4.0 / 3.0, abs=1e-15)
+        assert s.unreachable_pair_fraction == 0.0
 
     def test_unreachable_fraction(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        stats = average_path_length(g)
-        assert stats.mean == 1.0
-        assert stats.unreachable_fraction == pytest.approx(4.0 / 6.0)
+        s = summarize(Graph(4, [(0, 1), (2, 3)]))
+        assert s.average_path_length == 1.0
+        assert s.unreachable_pair_fraction == pytest.approx(4.0 / 6.0)
 
     def test_all_isolated(self):
-        with pytest.raises(DegenerateInputError):
-            average_path_length(Graph(3))
+        s = summarize(Graph(3))
+        assert s.average_path_length is None and s.unreachable_pair_fraction is None
 
     def test_single_node(self):
-        with pytest.raises(InputError):
-            average_path_length(Graph(1))
+        s = summarize(Graph(1))
+        assert s.average_path_length is None and s.unreachable_pair_fraction is None
 
 
 class TestDiameter:
@@ -307,7 +305,7 @@ class TestPermutationEquivariance:
             assert local_clustering(permuted)[perm[i]] == pytest.approx(
                 local_clustering(g)[i], abs=1e-12
             )
-            assert permuted.degree(int(perm[i])) == g.degree(i)
+            assert permuted.degrees()[perm[i]] == g.degrees()[i]
 
 
 class TestEdgeMonotonicity:
@@ -318,7 +316,7 @@ class TestEdgeMonotonicity:
             missing = [
                 (u, v)
                 for u, v in itertools.combinations(range(g.n), 2)
-                if not g.has_edge(u, v)
+                if v not in g.neighbors(u)
             ]
             if not missing:
                 continue
@@ -407,11 +405,10 @@ class TestEdgeCases:
         c = [row.closeness for row in node_stats(g)]
         assert [v is None for v in c] == [False, False, False, True, False, False]
         assert c[1] == 0.5 and c[4] == 1.0
-        stats = average_path_length(g)
+        s = summarize(g)
         # reachable pairs: three in the path, one in the edge, of 15
-        assert stats.reachable_pairs == 4
-        assert stats.mean == pytest.approx(5.0 / 4.0, abs=1e-15)
-        assert stats.unreachable_fraction == pytest.approx(11.0 / 15.0, abs=1e-15)
+        assert s.unreachable_pair_fraction == pytest.approx(11.0 / 15.0, abs=1e-15)
+        assert s.average_path_length == pytest.approx(5.0 / 4.0, abs=1e-15)
 
 
 # -- differential tests against networkx ------------------------------------------
@@ -592,11 +589,9 @@ def test_forward_sweep_matches_networkx(name):
     reachable = sum(len(d) - 1 for d in lengths) // 2
     if reachable == 0:
         assert s.average_path_length is None
-        with pytest.raises(DegenerateInputError):
-            average_path_length(g)
     else:
         pairs = g.n * (g.n - 1) // 2
-        assert s.average_path_length == average_path_length(g).mean == sum(sums) // 2 / reachable
+        assert s.average_path_length == sum(sums) // 2 / reachable
         assert s.unreachable_pair_fraction == (pairs - reachable) / pairs
     lcc = max(nx.connected_components(h), key=lambda c: (len(c), -min(c)))
     if len(lcc) >= 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,13 +10,9 @@ from netsync import graph, metrics
 from netsync.errors import InputError
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.graph import Graph
-from netsync.resilience import (
-    RandomError,
-    TargetedAttack,
-    run_error_ensemble,
-    run_removals,
-    run_resilience,
-)
+from netsync.resilience import RandomError, TargetedAttack, run_removals, run_resilience
+
+from oracles import diameter_at, fraction_when_lcc_below
 
 
 def complete(n):
@@ -101,23 +98,50 @@ def test_rejects_bad_granularity():
 
 def test_trace_helpers():
     trace = run_resilience(star(9), TargetedAttack(), record_every=0.1)
-    assert trace.fraction_when_lcc_below(5) == pytest.approx(0.1)
-    assert trace.diameter_at(0.0) == 2  # star diameter: leaf-center-leaf
+    assert fraction_when_lcc_below(trace.rows, 5) == pytest.approx(0.1)
+    assert diameter_at(trace.rows, 0.0) == 2  # star diameter: leaf-center-leaf
+
+
+def merged_by_hand(g, first, seeds, record_every):
+    """Per row, np.median, min and max of each quantity over the
+    ``run_resilience`` traces at seeds first, ..., first + seeds - 1."""
+    traces = [run_resilience(g, RandomError(seed=s), record_every).rows
+              for s in range(first, first + seeds)]
+    rows = []
+    for at_row in zip(*traces):
+        row = {"fraction_removed": at_row[0].fraction_removed}
+        for name, field in (("diameter", "diameter"), ("lcc", "lcc_size"),
+                            ("components", "components")):
+            values = [getattr(r, field) for r in at_row]
+            row[f"{name}_median"] = float(np.median(values))
+            row[f"{name}_min"] = min(values)
+            row[f"{name}_max"] = max(values)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("first, seeds, record_every", [(0, 5, 0.2), (3, 2, 0.1), (7, 4, 0.05)])
+def test_ensemble_rows_equal_the_merged_traces(first, seeds, record_every):
+    g = generate_ba(BAParams(n=40, m=2, seed=3))
+    ens = run_removals(g, RandomError(first), seeds, record_every)
+    assert ens.seeds == list(range(first, first + seeds))
+    assert [dataclasses.asdict(row) for row in ens.rows] == merged_by_hand(
+        g, first, seeds, record_every
+    )
 
 
 def test_ensemble_merge_deterministic():
     g = complete(15)
-    a = run_error_ensemble(g, [3, 1, 2], record_every=0.2)
-    b = run_error_ensemble(g, [1, 2, 3], record_every=0.2)
+    a = run_removals(g, RandomError(1), 3, record_every=0.2)
+    assert a == run_removals(g, RandomError(1), 3, record_every=0.2)
     assert a.seeds == [1, 2, 3]
-    assert a.rows == b.rows
     single = run_resilience(g, RandomError(seed=1), record_every=0.2)
     assert [r.fraction_removed for r in a.rows] == [r.fraction_removed for r in single.rows]
 
 
 def test_ensemble_envelope_orders():
     g = star(24)
-    ens = run_error_ensemble(g, list(range(5)), record_every=0.2)
+    ens = run_removals(g, RandomError(0), 5, record_every=0.2)
     for row in ens.rows:
         assert row.lcc_min <= row.lcc_median <= row.lcc_max
         assert row.diameter_min <= row.diameter_median <= row.diameter_max
@@ -125,19 +149,23 @@ def test_ensemble_envelope_orders():
 
 
 def test_ensemble_needs_seeds():
-    with pytest.raises(InputError):
-        run_error_ensemble(complete(4), [])
+    for strategy in (RandomError(0), TargetedAttack()):
+        with pytest.raises(InputError, match="at least one seed, got 0"):
+            run_removals(complete(4), strategy, 0, 0.2)
 
 
 def test_ensemble_takes_a_range_of_seeds():
+    # the seeds are the consecutive ones from the strategy's seed
     g = star(12)
-    assert run_error_ensemble(g, range(4, 7), 0.25) == run_error_ensemble(g, [6, 4, 5], 0.25)
+    ens = run_removals(g, RandomError(4), 3, 0.25)
+    assert ens.seeds == [4, 5, 6]
+    assert ens != run_removals(g, RandomError(5), 3, 0.25)
 
 
 def test_ensemble_rows_must_fit_in_memory():
     # 10**12 runs of 5 rows: 1.2e14 bytes of rows, refused before any run
     with pytest.raises(InputError, match=rf"of {10**12} error runs need 1\.2e\+14 bytes"):
-        run_error_ensemble(complete(5), range(10**12), record_every=0.2)
+        run_removals(complete(5), RandomError(0), 10**12, record_every=0.2)
 
 
 def test_removals_run_one_trace_or_an_ensemble():
@@ -148,9 +176,7 @@ def test_removals_run_one_trace_or_an_ensemble():
         )
     assert run_removals(g, RandomError(5), 1, 0.1) == run_resilience(g, RandomError(5), 0.1)
     for k in (2, 3):
-        assert run_removals(g, RandomError(5), k, 0.1) == run_error_ensemble(
-            g, range(5, 5 + k), 0.1
-        )
+        assert run_removals(g, RandomError(5), k, 0.1).kind == "ensemble"
 
 
 # -- differential tests against networkx ------------------------------------------

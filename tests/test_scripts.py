@@ -13,6 +13,8 @@ from netsync.powerlaw import fit_mle
 from netsync.resilience import RandomError, TargetedAttack, run_resilience
 from netsync.synchronization import spectral_stability
 
+from oracles import fraction_when_lcc_below
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -42,10 +44,10 @@ def test_paper_table(child_env):
             "C": summary.global_clustering,
             "gamma": fit_mle(g.degrees()).gamma,
             "lambda2": spectral_stability(g).lambda2,
-            "attack collapse": run_resilience(g, TargetedAttack()).fraction_when_lcc_below(
-                g.n // 2),
-            "error collapse": run_resilience(g, RandomError(0)).fraction_when_lcc_below(
-                g.n // 2),
+            "attack collapse": fraction_when_lcc_below(
+                run_resilience(g, TargetedAttack()).rows, g.n // 2),
+            "error collapse": fraction_when_lcc_below(
+                run_resilience(g, RandomError(0)).rows, g.n // 2),
         }
         for row, value in expected.items():
             assert float(table[row][i + 1]) == pytest.approx(value, abs=5.1e-5), row

@@ -99,9 +99,8 @@ class TestSpectralStability:
     def test_disconnected_is_unstable(self):
         rep = spectral_stability(Graph(4, [(0, 1), (2, 3)]))
         assert not rep.stable
-        # lambda_2 is exactly 0 on a disconnected graph, so even a zero
-        # threshold finds no gap
-        rep = spectral_stability(Graph(5, [(0, 1), (1, 2), (3, 4)]), 0.0)
+        # lambda_2 is exactly 0 on a disconnected graph, so there is no gap
+        rep = spectral_stability(Graph(5, [(0, 1), (1, 2), (3, 4)]))
         assert rep.lambda2 == 0.0 and not rep.stable
 
     def test_edgeless_unstable(self):
@@ -113,15 +112,14 @@ class TestSpectralStability:
         with pytest.raises(InputError):
             spectral_stability(Graph(1))
 
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_threshold(self, threshold):
-        with pytest.raises(InputError, match="closeness_threshold must be finite"):
-            spectral_stability(complete(5), threshold)
-
-    def test_rejects_negative_threshold_and_takes_zero(self):
-        with pytest.raises(InputError, match="closeness_threshold must be finite and >= 0"):
-            spectral_stability(complete(5), -1.0)
-        assert spectral_stability(complete(5), 0.0).closeness_threshold == 0.0
+    def test_threshold_is_fixed_and_reported(self):
+        # 0.1 * max(1, mean degree): 0.1 below mean degree 1, 0.1 * 4 on K5
+        assert spectral_stability(Graph(4, [(0, 1)])).closeness_threshold == 0.1
+        assert spectral_stability(complete(5)).closeness_threshold == 0.1 * 4.0
+        # P10 is connected, but its gap 2 (1 - cos(pi / 10)) is below 0.1 * 1.8
+        rep = spectral_stability(Graph(10, [(i, i + 1) for i in range(9)]))
+        assert rep.closeness_threshold == 0.1 * 1.8 and not rep.stable
+        assert rep.gap == pytest.approx(2.0 * (1.0 - math.cos(math.pi / 10)), rel=1e-12)
 
     def test_gap_field(self):
         rep = spectral_stability(complete(5))
@@ -202,7 +200,7 @@ class TestSparseSpectrum:
         ids=["two-ba-components", "ba-and-isolated-node"],
     )
     def test_disconnected(self, g, components):
-        rep = spectral_stability(g, 0.0)
+        rep = spectral_stability(g)
         assert g.n > DENSE_EIGEN_N
         assert rep.lambda1 == 0.0 and rep.lambda2 == 0.0 and rep.gap == 0.0
         assert rep.zero_multiplicity == components
@@ -370,6 +368,20 @@ class TestSimulate:
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError, match="x0 must be finite"):
             simulate(g, SyncConfig(t_max=1.0), x0)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("x0", [[1e308] * 3, [1.7e308, -1.7e308, -1.7e308]],
+                             ids=["column-sum", "deviation"])
+    def test_x0_whose_error_overflows_is_refused(self, x0, recwarn):
+        # finite, but its step-0 error is not: refused before step 1 (exit 2)
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match="x0 overflows float64 in a column sum"):
+            simulate(g, SyncConfig(t_max=1.0), x0)
+        assert not recwarn.list
+
+    def test_x0_near_the_float64_limit_runs(self, recwarn):
+        traj = simulate(Graph(3, [(0, 1), (1, 2)]), SyncConfig(t_max=1.0), [5e307] * 3)
+        assert not traj.sync_error.any() and (traj.states[-1] == 5e307).all()
         assert not recwarn.list
 
     def test_x0_shape_mismatch(self):
