@@ -7,21 +7,29 @@ start, which measures ``diameter`` and a stack of resilience rows, each a
 node mask of one graph, with a few BFS on most graphs; and the levels of
 Brandes' sweep (``_brandes``), which gives closeness and betweenness. That
 sweep counts shortest paths and accumulates dependencies by sparse
-products on each level's rows, and reduces them in a fixed block order.
+products on each level's rows. Each product reads an array of every level
+found or passed so far: a node at depth d has neighbours only at depths
+d - 1, d and d + 1, so it sees only the one level that it needs. Its
+blocks of 64 sources run on every CPU, and their results are added in
+block order, so the outputs have the same bits at any worker count.
 Local clustering is one sparse triangle count. Eigenvector centrality is
 power iteration on the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix
 
-from .errors import DegenerateInputError, InputError, NumericalError
+from .errors import DegenerateInputError, InputError, NumericalError, check_memory
 from .graph import Graph, connected_components
 
 
@@ -29,6 +37,10 @@ from .graph import Graph, connected_components
 
 
 _BLOCK = 64  # sources per sweep block; its working arrays are (n, _BLOCK)
+_CHUNK = 1 << 14  # (node, source) pairs per elementwise step of a Brandes level
+# Brandes blocks run on every CPU this process may use
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 _EIGEN_TOL = 1e-10  # power iteration stops once no entry moves this much
 _EIGEN_MAX_ITER = 100_000
 
@@ -117,18 +129,83 @@ def _forward_sweep(g: Graph) -> Sweep:
 
 
 def _product_rows(
-    a: csr_matrix, x: np.ndarray, out: np.ndarray, width: int, pairs: np.ndarray
+    a: csr_matrix, x: np.ndarray, out: np.ndarray, width: int, rows: slice
 ) -> None:
-    """``out = A @ x`` on the rows from the first to the last node of
-    ``pairs``, flat indices into C-ordered (n, width) arrays such as ``x``
-    and ``out``; other rows of ``out`` keep their values. The rows are
-    zeroed and given to ``csr_matvecs``, the kernel that ``A @ x`` calls,
-    which adds each row's products to them in CSR order."""
-    first, end = pairs[0] // width, pairs[-1] // width + 1
-    rows = out[first * width : end * width]
-    rows.fill(0.0)
-    _sparsetools.csr_matvecs(end - first, a.shape[1], width, a.indptr[first : end + 1],
-                             a.indices, a.data, x, rows)
+    """``out = A @ x`` on ``rows``, a range of node rows of C-ordered
+    (n, width) arrays such as ``x`` and ``out``; other rows of ``out`` keep
+    their values. The rows are zeroed and given to ``csr_matvecs``, the
+    kernel that ``A @ x`` calls, which adds each row's products to them in
+    CSR order."""
+    part = out[rows.start * width : rows.stop * width]
+    part.fill(0.0)
+    _sparsetools.csr_matvecs(rows.stop - rows.start, a.shape[1], width,
+                             a.indptr[rows.start : rows.stop + 1], a.indices, a.data, x, part)
+
+
+def _brandes_block(
+    g: Graph, lo: int, buffers: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of ``_brandes``: the sources ``lo`` to ``lo + _BLOCK``,
+    on one worker's (3, n * _BLOCK) float64 ``buffers`` and its ``pairs``
+    store. Returns the block's int64 distance sums and per-node
+    dependency sums."""
+    n, a = g.n, g.matrix
+    block = np.arange(lo, min(lo + _BLOCK, n))
+    width = len(block)
+    dep, weight, paths = buffers[:, : n * width]
+    dep.fill(0.0)
+    weight.fill(0.0)
+    sources = block * width + np.arange(width)
+    dep[sources] = 1.0
+    sums = np.zeros(n, dtype=np.int64)
+    levels = [0]  # level d holds pairs[levels[d - 1] : levels[d]]
+    spans = []  # the node rows of each level
+    step = _CHUNK // 64  # words per chunk: at most _CHUNK pairs
+    for depth, new in enumerate(_bit_levels(g, block), start=1):
+        rows = np.flatnonzero(new)
+        words = new[rows]
+        counts = np.bitwise_count(words).astype(np.int64)
+        sums[rows] += depth * counts
+        # in a chunk of words, bit t of its i-th word unpacks to position
+        # 64 i + t; its pair is entry width * rows[i] + t
+        shift = width * rows - 64 * (np.arange(len(rows)) % step)
+        end = levels[-1]
+        for i in range(0, len(rows), step):
+            part = slice(i, i + step)
+            bits = np.unpackbits(words[part].view(np.uint8), bitorder="little").view(bool)
+            found = np.flatnonzero(bits)
+            found += shift[part].repeat(counts[part])
+            pairs[end : end + len(found)] = found
+            end += len(found)
+        spans.append(slice(int(rows[0]), int(rows[-1]) + 1))
+        _product_rows(a, dep, paths, width, spans[-1])
+        for i in range(levels[-1], end, _CHUNK):
+            level = pairs[i : min(i + _CHUNK, end)].astype(np.intp)
+            sigma = paths.take(level)
+            if not np.isfinite(sigma).all():
+                raise NumericalError("shortest-path counts overflow float64")
+            dep[level] = sigma
+        levels.append(end)
+    # back from the deepest level, where weight and so A @ weight are still
+    # all 0, and so is delta: sigma becomes delta in place, and weight gets
+    # (1 + delta) / sigma of each level passed
+    for k in range(len(spans), 0, -1):
+        rows = spans[k - 1]
+        if k < len(spans):
+            _product_rows(a, weight, paths, width, rows)
+        else:
+            paths[rows.start * width : rows.stop * width].fill(0.0)
+        for i in range(levels[k - 1], levels[k], _CHUNK):
+            level = pairs[i : min(i + _CHUNK, levels[k])].astype(np.intp)
+            sigma = dep.take(level)
+            delta = paths.take(level)
+            delta *= sigma
+            dep[level] = delta
+            delta += 1.0
+            delta /= sigma
+            weight[level] = delta
+    dep[sources] = 0.0
+    return sums, dep.reshape(n, width).sum(axis=1)
 
 
 def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -137,61 +214,78 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     ``_bit_levels`` gives each block's BFS levels. The distance sums count
     the bits of each level's words, as in ``_forward_sweep``: as d(s, v) =
-    d(v, s), they are each node's sums over every source. A level is
-    kept as its (node, source) pairs, flat indices into the block's
-    C-ordered (n, sources) arrays, with the shortest-path counts sigma of
-    its pairs: A @ frontier, where the frontier holds the previous level's
-    sigma and zeros, gives them. The backward pass then runs level by level
-    from the deepest,
+    d(v, s), they are each node's sums over every source. A level is kept
+    as its (node, source) pairs, flat indices into the block's C-ordered
+    (n, sources) arrays. ``dep`` holds the shortest-path counts sigma of
+    every level found so far, and 1 at the sources; A @ dep gives the next
+    level's sigma. A node at depth d has neighbours only at depths d - 1,
+    d and d + 1, of which only the d - 1 entries are set yet, so each sum
+    has the nonzero terms, in CSR order, of a product with the previous
+    level alone. The backward pass runs from the deepest level,
     delta += [level k-1] * sigma * (A @ ([level k] * (1 + delta) / sigma)),
-    and each block's per-node dependencies are added to the total in block
-    order.
+    with ``weight`` holding (1 + delta) / sigma of every level passed and
+    never cleared: a node at depth k - 1 sees only its depth-k entries.
+    sigma becomes delta in place once its level is passed. The deepest
+    level sees an all-zero ``weight``, so its delta is 0, and the sources'
+    delta is set to 0 at the end.
 
     Each product (``_product_rows``) computes only the rows from the first
     to the last node of the level it feeds, each with the bits that the
     allocating ``A @ x`` gives it, so every pair gets the bits of the dense
-    expressions above; three (n, sources) buffers serve every block.
-    Raises NumericalError at the first block whose path counts overflow.
+    expressions above. The elementwise work of a level runs _CHUNK pairs
+    at a time, so no temporary grows with the level.
+
+    The blocks run on ``_WORKERS`` workers: the calling thread and a thread
+    pool that lives only inside the call. Each takes the next block, on
+    its own three (n, _BLOCK) buffers, and the block results are added to
+    the totals in block order, so every output has the same bits for any
+    worker count. Raises NumericalError at a block whose path counts
+    overflow; no block starts after one has raised.
     """
     n = g.n
+    blocks = -(-n // _BLOCK)
+    workers = max(1, min(_WORKERS, blocks))
+    pair_type = np.dtype(np.int32 if n * _BLOCK < 2**31 else np.int64)
+    check_memory(workers * (3 * 8 + pair_type.itemsize) * n * _BLOCK,
+                 f"the Brandes buffers of {workers} workers on {n} nodes")
     sums = np.zeros(n, dtype=np.int64)
     between = np.zeros(n)
-    a = g.matrix
-    buffers = np.empty((3, n * _BLOCK))
-    for lo in range(0, n, _BLOCK):
-        block = np.arange(lo, min(lo + _BLOCK, n))
-        width = len(block)
-        frontier, paths, delta = flat = buffers[:, : n * width]
-        flat.fill(0.0)
-        pairs = block * width + np.arange(width)
-        frontier[pairs] = 1.0
-        levels = []
-        for depth, new in enumerate(_bit_levels(g, block), start=1):
-            rows = np.flatnonzero(new)
-            words = new[rows]
-            counts = np.bitwise_count(words).astype(np.int64)
-            sums[rows] += depth * counts
-            # bit t of words[i] unpacks to position 64 i + t; its pair is
-            # entry width * rows[i] + t
-            bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
-            shift = width * rows - 64 * np.arange(len(rows))
-            new_pairs = np.flatnonzero(bits) + shift.repeat(counts)
-            _product_rows(a, frontier, paths, width, new_pairs)
-            frontier[pairs] = 0.0
-            pairs = new_pairs
-            frontier[pairs] = sigma = paths[pairs]
-            if not np.isfinite(sigma).all():
-                raise NumericalError("shortest-path counts overflow float64")
-            levels.append((pairs, sigma))
-        # back from the deepest level; the frontier carries (1 + delta) / sigma
-        for k in range(len(levels) - 1, 0, -1):
-            pairs, sigma = levels[k]
-            frontier[pairs] = (1.0 + delta[pairs]) / sigma
-            up, up_sigma = levels[k - 1]
-            _product_rows(a, frontier, paths, width, up)
-            frontier[pairs] = 0.0
-            delta[up] += up_sigma * paths[up]
-        between += delta.reshape(n, width).sum(axis=1)
+    lock = threading.Lock()
+    claims = itertools.count()
+    finished: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    folded = 0
+    failed = False
+
+    def work() -> None:
+        nonlocal folded, failed
+        buffers = np.empty((3, n * _BLOCK))
+        pairs = np.empty(n * _BLOCK, dtype=pair_type)
+        try:
+            while True:
+                with lock:
+                    b = blocks if failed else next(claims)
+                if b >= blocks:
+                    return
+                result = _brandes_block(g, b * _BLOCK, buffers, pairs)
+                with lock:
+                    finished[b] = result
+                    while folded in finished:
+                        block_sums, block_between = finished.pop(folded)
+                        np.add(sums, block_sums, out=sums)
+                        np.add(between, block_between, out=between)
+                        folded += 1
+        except BaseException:
+            failed = True
+            raise
+
+    if workers == 1:
+        work()
+        return sums, between
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
     return sums, between
 
 

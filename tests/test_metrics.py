@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netsync.errors import DegenerateInputError, InputError
+from netsync.errors import DegenerateInputError, InputError, NumericalError
 from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync import metrics
@@ -32,6 +36,7 @@ from oracles import (
 from oracles import local_clustering as clustering_by_counting
 
 INF = math.inf
+WORKER_COUNTS = (1, 2)  # Brandes blocks on the calling thread alone, and on a pool too
 
 
 def complete(n):
@@ -538,13 +543,15 @@ BETWEENNESS_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(BETWEENNESS_GRAPHS))
-def test_betweenness_matches_networkx(name):
+def test_betweenness_matches_networkx(name, monkeypatch):
     g = BETWEENNESS_GRAPHS[name]()
     nx = pytest.importorskip("networkx")
     expected = nx.betweenness_centrality(to_networkx(g), normalized=False)
-    got = betweenness_centrality(g)
-    assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-9, abs=1e-9)
-    assert [r.betweenness for r in node_stats(g)] == list(got)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        got = betweenness_centrality(g)
+        assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-9, abs=1e-9)
+        assert [r.betweenness for r in node_stats(g)] == list(got)
 
 
 # -- the bit-parallel kernel against networkx ---------------------------------------
@@ -620,19 +627,27 @@ SWEEP_ORACLE_GRAPHS = {
 }
 
 
+def assert_brandes_equals_the_dense_sweep(g, monkeypatch):
+    expected = dense_brandes(g)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        for got, want in zip(metrics._brandes(g), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_ORACLE_GRAPHS))
-def test_brandes_equals_the_dense_sweep_bitwise(name):
+def test_brandes_equals_the_dense_sweep_bitwise(name, monkeypatch):
     # the dense form keeps an int32 depth matrix and allocates every A @ x;
-    # the sweep must give its distance sums and betweenness to the bit
-    g = SWEEP_ORACLE_GRAPHS[name]()
-    for got, expected in zip(metrics._brandes(g), dense_brandes(g)):
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+    # the sweep must give its distance sums and betweenness to the bit, on
+    # one worker and on two
+    assert_brandes_equals_the_dense_sweep(SWEEP_ORACLE_GRAPHS[name](), monkeypatch)
 
 
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_brandes_equals_the_dense_sweep_on_random_forests(data):
+@given(data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_brandes_equals_the_dense_sweep_on_random_forests(data, monkeypatch):
     # random trees whose parent lies within ``reach`` ids (1: a path), with
     # extra edges and some nodes left out of the tree: components and
     # isolated nodes fall anywhere across the blocks
@@ -644,9 +659,82 @@ def test_brandes_equals_the_dense_sweep_on_random_forests(data):
     edges += data.draw(st.lists(pairs, max_size=n // 2))
     g = Graph(n, sorted({(min(e), max(e)) for e in edges
                          if e[0] != e[1] and not left_out & set(e)}))
-    for got, expected in zip(metrics._brandes(g), dense_brandes(g)):
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+    assert_brandes_equals_the_dense_sweep(g, monkeypatch)
+
+
+def test_more_workers_than_cores_keep_the_bits(monkeypatch):
+    # four workers on 16 blocks, switching threads every microsecond: a
+    # block folded twice, lost or out of order would change the bits; the
+    # sweep runs on a thread of its own so that a hang fails the join
+    g = generate_ba(BAParams(n=1000, m=3, seed=1))
+    expected = dense_brandes(g)
+    monkeypatch.setattr(metrics, "_WORKERS", 4)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(metrics._brandes(g)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(got) == 1
+    for got_one, want in zip(got[0], expected):
+        assert got_one.tobytes() == want.tobytes()
+
+
+def test_brandes_buffers_must_fit_in_memory(monkeypatch):
+    # each worker holds three float64 (n, 64) buffers and an int32 store of
+    # level pairs, 28 * 64 bytes a node: here one worker's would fit and two
+    # workers' would not. A stand-in graph: the check comes before any read
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    with pytest.raises(InputError, match="bytes"):
+        metrics._brandes(SimpleNamespace(n=memory // (2 * 28 * 64) + 64))
+
+
+def layered(layers):
+    """``layers`` layers of 3 nodes, consecutive layers joined completely,
+    and one end node at each side: 3**layers shortest paths end to end."""
+    edges = [(0, 1 + j) for j in range(3)]
+    for i in range(layers - 1):
+        edges += [(1 + 3 * i + j, 4 + 3 * i + k) for j in range(3) for k in range(3)]
+    end = 3 * layers + 1
+    edges += [(end - 3 + j, end) for j in range(3)]
+    return Graph(end + 1, edges)
+
+
+def test_path_count_overflow_on_two_workers(monkeypatch):
+    # 3**650 paths overflow float64 in the end blocks; the error reaches the
+    # caller and no pool thread outlives the call
+    g = layered(650)
+    assert g.n == 1952
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError, match="^shortest-path counts overflow float64$"):
+        node_stats(g)
+    assert threading.active_count() == threads
+
+
+def test_an_error_on_a_pool_thread_stops_the_sweep(monkeypatch):
+    # only pool threads fail here: their error reaches the caller, no block
+    # starts after it, and the pool is gone when the call returns
+    started = []
+    block = metrics._brandes_block
+
+    def failing_off_the_caller(g, lo, *buffers):
+        started.append(lo)
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("pool thread failed")
+        return block(g, lo, *buffers)
+
+    monkeypatch.setattr(metrics, "_brandes_block", failing_off_the_caller)
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError, match="pool thread failed"):
+        metrics._brandes(generate_ba(BAParams(n=64 * 20, m=2, seed=5)))
+    assert threading.active_count() == threads
+    assert len(started) < 20
 
 
 @pytest.mark.parametrize("name", ["cycle_with_tails", "grid30", "tied_isolated"])
