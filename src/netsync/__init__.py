@@ -32,6 +32,7 @@ from .resilience import (
     RandomError,
     ResilienceTrace,
     TargetedAttack,
+    run_removals,
     run_resilience,
 )
 from .synchronization import (

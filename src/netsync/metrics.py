@@ -10,18 +10,18 @@ sweep counts shortest paths and accumulates dependencies by sparse
 products on each level's rows. Each product reads an array of every level
 found or passed so far: a node at depth d has neighbours only at depths
 d - 1, d and d + 1, so it sees only the one level that it needs. Its
-blocks of 64 sources run on every CPU, and their results are added in
-block order, so the outputs have the same bits at any worker count.
+blocks of 64 sources run on a thread pool with a thread per CPU, whose
+``map`` gives their results back in block order to be added, so the
+outputs have the same bits at any worker count.
 Local clustering is one sparse triangle count. Eigenvector centrality is
 power iteration on the adjacency matrix of the largest component.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import threading
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -235,12 +235,17 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     expressions above. The elementwise work of a level runs _CHUNK pairs
     at a time, so no temporary grows with the level.
 
-    The blocks run on ``_WORKERS`` workers: the calling thread and a thread
-    pool that lives only inside the call. Each takes the next block, on
-    its own three (n, _BLOCK) buffers, and the block results are added to
-    the totals in block order, so every output has the same bits for any
-    worker count. Raises NumericalError at a block whose path counts
-    overflow; no block starts after one has raised.
+    The blocks run on ``workers`` (at most ``_WORKERS``) threads of a pool
+    that lives only inside the call. Each block borrows from a queue one of
+    ``workers`` buffer sets, three (n, _BLOCK) arrays and a pair store
+    allocated up front. ``ThreadPoolExecutor.map`` returns the block
+    results in block order, and they are added to the totals as they come,
+    so every output has the same bits for any worker count. With one
+    worker the blocks run in the calling thread, through the builtin
+    ``map``. Raises NumericalError at a block whose path counts overflow.
+    A block's error reaches the caller when the fold gets to that block:
+    the blocks not yet started are then cancelled, and the pool is joined
+    before the error leaves the call.
     """
     n = g.n
     blocks = -(-n // _BLOCK)
@@ -248,45 +253,29 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     pair_type = np.dtype(np.int32 if n * _BLOCK < 2**31 else np.int64)
     check_memory(workers * (3 * 8 + pair_type.itemsize) * n * _BLOCK,
                  f"the Brandes buffers of {workers} workers on {n} nodes")
-    sums = np.zeros(n, dtype=np.int64)
-    between = np.zeros(n)
-    lock = threading.Lock()
-    claims = itertools.count()
-    finished: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    folded = 0
-    failed = False
+    free: queue.SimpleQueue[tuple[np.ndarray, np.ndarray]] = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty((3, n * _BLOCK)), np.empty(n * _BLOCK, dtype=pair_type)))
 
-    def work() -> None:
-        nonlocal folded, failed
-        buffers = np.empty((3, n * _BLOCK))
-        pairs = np.empty(n * _BLOCK, dtype=pair_type)
+    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        buffers = free.get()
         try:
-            while True:
-                with lock:
-                    b = blocks if failed else next(claims)
-                if b >= blocks:
-                    return
-                result = _brandes_block(g, b * _BLOCK, buffers, pairs)
-                with lock:
-                    finished[b] = result
-                    while folded in finished:
-                        block_sums, block_between = finished.pop(folded)
-                        np.add(sums, block_sums, out=sums)
-                        np.add(between, block_between, out=between)
-                        folded += 1
-        except BaseException:
-            failed = True
-            raise
+            return _brandes_block(g, lo, *buffers)
+        finally:
+            free.put(buffers)
+
+    def fold(results: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+        sums = np.zeros(n, dtype=np.int64)
+        between = np.zeros(n)
+        for block_sums, block_between in results:
+            np.add(sums, block_sums, out=sums)
+            np.add(between, block_between, out=between)
+        return sums, between
 
     if workers == 1:
-        work()
-        return sums, between
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-    for helper in helpers:
-        helper.result()
-    return sums, between
+        return fold(map(block, range(0, n, _BLOCK)))
+    with ThreadPoolExecutor(workers) as pool:
+        return fold(pool.map(block, range(0, n, _BLOCK)))
 
 
 def _largest_component_diameter(g: Graph, members: np.ndarray) -> np.ndarray:

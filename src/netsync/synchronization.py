@@ -103,8 +103,9 @@ def spectral_stability(g: Graph) -> SpectralReport:
     graph lambda_2 comes, up to DENSE_EIGEN_N nodes, from a full symmetric
     eigensolve of the dense matrix (LAPACK through numpy.linalg.eigvalsh),
     and above it, with no dense matrix built, it is minus the algebraic
-    connectivity from a sparse shift-invert solve. The zero multiplicity is
-    the number of connected components.
+    connectivity from a sparse shift-invert solve, refused above
+    MAX_EIGEN_N nodes. The zero multiplicity is the number of connected
+    components.
 
     Stable means that the gap clears the closeness threshold, fixed at
     0.1 * max(1, mean degree) and reported; as that is at least 0.1, a
@@ -112,10 +113,6 @@ def spectral_stability(g: Graph) -> SpectralReport:
     """
     if g.n < 2:
         raise InputError("spectral stability needs at least 2 nodes")
-    if g.n > MAX_EIGEN_N:
-        raise InputError(
-            f"spectral stability limited to n <= {MAX_EIGEN_N}, got {g.n}"
-        )
     threshold = 0.1 * max(1.0, 2.0 * g.m / g.n)
     components = connected_components(g).count
     lam1 = 0.0
@@ -126,6 +123,10 @@ def spectral_stability(g: Graph) -> SpectralReport:
             lam2 = float(np.linalg.eigvalsh(_coupling_operator(g).toarray())[-2])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    elif g.n > MAX_EIGEN_N:
+        raise InputError(
+            f"spectral stability limited to n <= {MAX_EIGEN_N}, got {g.n}"
+        )
     else:
         lam2 = -_algebraic_connectivity(g)
     return SpectralReport(

@@ -717,21 +717,22 @@ def test_path_count_overflow_on_two_workers(monkeypatch):
 
 
 def test_an_error_on_a_pool_thread_stops_the_sweep(monkeypatch):
-    # only pool threads fail here: their error reaches the caller, no block
-    # starts after it, and the pool is gone when the call returns
+    # the second of 20 blocks fails and the others do their real work: the
+    # error reaches the caller when the fold gets to that block, the blocks
+    # not yet started are cancelled, and the pool is gone when the call ends
     started = []
     block = metrics._brandes_block
 
-    def failing_off_the_caller(g, lo, *buffers):
+    def failing_at_the_second_block(g, lo, *buffers):
         started.append(lo)
-        if threading.current_thread() is not threading.main_thread():
-            raise NumericalError("pool thread failed")
+        if lo == 64:
+            raise NumericalError("block 64 failed")
         return block(g, lo, *buffers)
 
-    monkeypatch.setattr(metrics, "_brandes_block", failing_off_the_caller)
+    monkeypatch.setattr(metrics, "_brandes_block", failing_at_the_second_block)
     monkeypatch.setattr(metrics, "_WORKERS", 2)
     threads = threading.active_count()
-    with pytest.raises(NumericalError, match="pool thread failed"):
+    with pytest.raises(NumericalError, match="block 64 failed"):
         metrics._brandes(generate_ba(BAParams(n=64 * 20, m=2, seed=5)))
     assert threading.active_count() == threads
     assert len(started) < 20

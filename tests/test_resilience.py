@@ -139,6 +139,12 @@ def test_ensemble_merge_deterministic():
     assert [r.fraction_removed for r in a.rows] == [r.fraction_removed for r in single.rows]
 
 
+def test_the_sweep_entry_point_is_exported_from_the_package():
+    import netsync
+
+    assert netsync.run_removals is run_removals
+
+
 def test_ensemble_envelope_orders():
     g = star(24)
     ens = run_removals(g, RandomError(0), 5, record_every=0.2)

@@ -196,8 +196,11 @@ class TestSparseSpectrum:
             (disjoint_union(generate_ba(BAParams(n=150, m=3, seed=1)),
                             generate_ba(BAParams(n=151, m=3, seed=2))), 2),
             (disjoint_union(generate_ba(BAParams(n=300, m=3, seed=1)), Graph(1)), 2),
+            # above MAX_EIGEN_N: a disconnected graph needs no factor
+            (disjoint_union(from_networkx(nx.path_graph(2600)),
+                            from_networkx(nx.path_graph(2600))), 2),
         ],
-        ids=["two-ba-components", "ba-and-isolated-node"],
+        ids=["two-ba-components", "ba-and-isolated-node", "two-paths-above-max-eigen-n"],
     )
     def test_disconnected(self, g, components):
         rep = spectral_stability(g)
