@@ -31,6 +31,12 @@ level over dozens of levels; a summary-only pipeline on the grid and on
 the ``--n`` BA graph runs the forward sweep alone. The four edge lists are
 hashed too.
 
+The last line is the ``analyze`` JSON of one more small edge list, whose
+labels JSON must escape: ``"q"``, ``a\\b``, ``ü`` and the control
+character U+0001. It comes after the others, so the lines before it read
+as they did before that edge list was added, and the edge list itself is
+not hashed.
+
 Commands run through ``netsync.cli.main`` inside OUTDIR with relative
 paths, so no output records where it was written. Two trees give equal
 outputs when two runs print the same lines:
@@ -54,6 +60,9 @@ GRAPHS = {
     "er49": ["er", "--n", "49", "--edges", "351", "--seed", "3"],
     "ba49": ["ba", "--n", "49", "--m", "8", "--seed", "5"],
 }
+
+
+LABELS = '"q" a\\b\na\\b ü\nü \x01\n\x01 "q"\n"q" ü\nplain ü\n'
 
 
 def grid_edges(side: int) -> str:
@@ -153,17 +162,20 @@ def main() -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.outdir)
     Path("grid.edges").write_text(grid_edges(min(30, max(9, math.isqrt(args.n)))))
+    Path("labels.edges").write_text(LABELS, encoding="utf-8")
     argvs = commands(args.n)
     for stem, cfg in pipeline_configs().items():
         Path(f"{stem}.config.json").write_text(json.dumps(cfg))
         argvs.append(["pipeline", "--config", f"{stem}.config.json", "--deterministic",
                       "--out", f"{stem}.json"])
+    argvs.append(["analyze", "--edge-list", "labels.edges", "--out", "labels.analyze.json"])
     for argv in argvs:
         if netsync(argv) != 0:
             raise SystemExit(f"netsync {' '.join(argv)} failed")
-    for path in sorted(Path(".").iterdir()):
-        if not path.name.endswith(".config.json"):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    hashed = [path for path in sorted(Path(".").iterdir())
+              if not path.name.endswith(".config.json") and not path.name.startswith("labels.")]
+    for path in [*hashed, Path("labels.analyze.json")]:
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
 
 
 if __name__ == "__main__":

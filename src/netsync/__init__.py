@@ -17,6 +17,7 @@ from .generators import BAParams, ERParams, generate_ba, generate_er
 from .metrics import (
     GraphSummary,
     NodeStats,
+    analyze,
     betweenness_centrality,
     degree_distribution,
     diameter,

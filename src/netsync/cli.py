@@ -17,7 +17,7 @@ from .edgelist import ingest_edge_list, serialize_edge_list
 from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
-from .metrics import node_stats, summarize
+from .metrics import analyze, node_stats
 from .powerlaw import distribution_comparison, fit_mle
 from .report import (
     PipelineConfig,
@@ -126,8 +126,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
         _emit(rows_csv(node_stats(g), columns), args.out)
         return 0
-    payload = {"summary": summarize(g), "node_stats": node_stats(g), "input": record}
-    _emit(to_json(payload), args.out)
+    summary, stats = analyze(g)
+    _emit(to_json({"summary": summary, "node_stats": stats, "input": record}), args.out)
     return 0
 
 

@@ -1,18 +1,20 @@
 """Topology metrics and node centralities.
 
-All functions are pure reads of an immutable graph, and each metric runs
-its own kernel. Every BFS runs 64 to a machine word on one bit-parallel
-kernel: the path lengths of ``summarize``; iFUB from a double-sweep
-start, which measures ``diameter`` and a stack of resilience rows, each a
-node mask of one graph, with a few BFS on most graphs; and the levels of
-Brandes' sweep (``_brandes``), which gives closeness and betweenness. That
-sweep counts shortest paths and accumulates dependencies by sparse
-products on each level's rows. Each product reads an array of every level
-found or passed so far: a node at depth d has neighbours only at depths
-d - 1, d and d + 1, so it sees only the one level that it needs. Its
-blocks of 64 sources run on a thread pool with a thread per CPU, whose
-``map`` gives their results back in block order to be added, so the
-outputs have the same bits at any worker count.
+All functions are pure reads of an immutable graph. Every BFS runs 64 to
+a machine word on one bit-parallel kernel: the path lengths of
+``summarize``; iFUB from a double-sweep start, which measures ``diameter``
+and a stack of resilience rows, each a node mask of one graph, with a few
+BFS on most graphs; and the levels of Brandes' sweep (``_brandes``), which
+gives closeness and betweenness, and also the path lengths and the
+diameter, so that ``analyze`` reads the summary and the per-node table
+from one sweep. That sweep counts shortest paths and accumulates
+dependencies by sparse products on each level's rows, save the first
+level's and the deepest one's, whose results are known. Each product
+reads an array of every level found or passed so far: a node at depth d
+has neighbours only at depths d - 1, d and d + 1, so it sees only the one
+level that it needs. Its blocks of 64 sources run on a thread pool with a
+thread per CPU, whose ``map`` gives their results back in block order to
+be added, so the outputs have the same bits at any worker count.
 Local clustering is one sparse triangle count. Eigenvector centrality is
 power iteration on the adjacency matrix of the largest component.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix
 
 from .errors import DegenerateInputError, InputError, NumericalError, check_memory
-from .graph import Graph, connected_components
+from .graph import ComponentPartition, Graph, connected_components
 
 
 # -- distances ---------------------------------------------------------------
@@ -90,26 +92,39 @@ def _bfs(
     """Eccentricity of each task t, a BFS from ``sources[t]`` that enters
     only the nodes of row ``rows[t]`` of the (rows, n) bool ``members``,
     _BLOCK tasks per ``_bit_levels`` run. With ``levels``, also the
-    (tasks, n) int32 depths, -1 where unreached."""
+    (tasks, n) int32 depths, -1 where unreached.
+
+    A block keeps its depths node-major, as depth + 1 in an (n, tasks)
+    array: each level adds its unpacked words times depth + 1 to the rows
+    of its nodes, since each (node, task) is first reached at one depth. A
+    task reaches new nodes at every depth up to its eccentricity, so the
+    eccentricities are the counts of set bits over the levels' OR words."""
     ecc = np.zeros(len(sources), dtype=np.int64)
     level = np.full((len(sources), g.n), -1, dtype=np.int32) if levels else None
     for lo in range(0, len(sources), _BLOCK):
         block = sources[lo : lo + _BLOCK]
-        tasks = np.arange(lo, lo + len(block))
+        width = len(block)
         bits = np.zeros((g.n, _BLOCK), dtype=bool)
-        bits[:, : len(block)] = members[rows[tasks]].T
+        bits[:, :width] = members[rows[lo : lo + width]].T
         mask = np.packbits(bits, axis=1, bitorder="little").view(_WORD).ravel()
         if level is not None:
-            level[tasks, block] = 0
-        for depth, new in enumerate(_bit_levels(g, block, mask), start=1):
-            # bit t of a word unpacks to position t of its 64 bits
-            reach = np.bitwise_or.reduce(new, keepdims=True).view(np.uint8)
-            ecc[lo + np.flatnonzero(np.unpackbits(reach, bitorder="little"))] = depth
+            depth = np.zeros((g.n, width), dtype=np.int32)
+            depth[block, np.arange(width)] = 1
+        reach = []
+        for d, new in enumerate(_bit_levels(g, block, mask), start=1):
+            reach.append(np.bitwise_or.reduce(new))
             if level is not None:
+                # bit t of a word unpacks to position t of its row
                 nodes = np.flatnonzero(new)
                 words = new[nodes].view(np.uint8).reshape(-1, 8)
-                at, task = np.nonzero(np.unpackbits(words, axis=1, bitorder="little"))
-                level[lo + task, nodes[at]] = depth
+                depth[nodes] += np.unpackbits(words, axis=1, count=width,
+                                              bitorder="little") * np.int32(d + 1)
+        if reach:
+            words = np.array(reach, dtype=_WORD).view(np.uint8).reshape(-1, 8)
+            ecc[lo : lo + width] = np.unpackbits(words, axis=1, count=width,
+                                                 bitorder="little").sum(axis=0)
+        if level is not None:
+            level[lo : lo + width] = depth.T - 1
     return ecc, level
 
 
@@ -144,11 +159,11 @@ def _product_rows(
 
 def _brandes_block(
     g: Graph, lo: int, buffers: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One block of ``_brandes``: the sources ``lo`` to ``lo + _BLOCK``,
     on one worker's (3, n * _BLOCK) float64 ``buffers`` and its ``pairs``
-    store. Returns the block's int64 distance sums and per-node
-    dependency sums."""
+    store. Returns the block's int64 distance sums, per-node dependency
+    sums, int64 reached counts and int64 eccentricities."""
     n, a = g.n, g.matrix
     block = np.arange(lo, min(lo + _BLOCK, n))
     width = len(block)
@@ -157,7 +172,7 @@ def _brandes_block(
     weight.fill(0.0)
     sources = block * width + np.arange(width)
     dep[sources] = 1.0
-    sums = np.zeros(n, dtype=np.int64)
+    sums, reached, ecc = np.zeros((3, n), dtype=np.int64)
     levels = [0]  # level d holds pairs[levels[d - 1] : levels[d]]
     spans = []  # the node rows of each level
     step = _CHUNK // 64  # words per chunk: at most _CHUNK pairs
@@ -166,6 +181,8 @@ def _brandes_block(
         words = new[rows]
         counts = np.bitwise_count(words).astype(np.int64)
         sums[rows] += depth * counts
+        reached[rows] += counts
+        ecc[rows] = depth
         # in a chunk of words, bit t of its i-th word unpacks to position
         # 64 i + t; its pair is entry width * rows[i] + t
         shift = width * rows - 64 * (np.arange(len(rows)) % step)
@@ -178,9 +195,13 @@ def _brandes_block(
             pairs[end : end + len(found)] = found
             end += len(found)
         spans.append(slice(int(rows[0]), int(rows[-1]) + 1))
-        _product_rows(a, dep, paths, width, spans[-1])
+        if depth > 1:
+            _product_rows(a, dep, paths, width, spans[-1])
         for i in range(levels[-1], end, _CHUNK):
             level = pairs[i : min(i + _CHUNK, end)].astype(np.intp)
+            if depth == 1:  # the one set neighbour of each pair is its source
+                dep[level] = 1.0
+                continue
             sigma = paths.take(level)
             if not np.isfinite(sigma).all():
                 raise NumericalError("shortest-path counts overflow float64")
@@ -190,14 +211,16 @@ def _brandes_block(
     # all 0, and so is delta: sigma becomes delta in place, and weight gets
     # (1 + delta) / sigma of each level passed
     for k in range(len(spans), 0, -1):
-        rows = spans[k - 1]
-        if k < len(spans):
-            _product_rows(a, weight, paths, width, rows)
-        else:
-            paths[rows.start * width : rows.stop * width].fill(0.0)
+        deepest = k == len(spans)
+        if not deepest:
+            _product_rows(a, weight, paths, width, spans[k - 1])
         for i in range(levels[k - 1], levels[k], _CHUNK):
             level = pairs[i : min(i + _CHUNK, levels[k])].astype(np.intp)
             sigma = dep.take(level)
+            if deepest:
+                dep[level] = 0.0
+                weight[level] = 1.0 / sigma
+                continue
             delta = paths.take(level)
             delta *= sigma
             dep[level] = delta
@@ -205,29 +228,33 @@ def _brandes_block(
             delta /= sigma
             weight[level] = delta
     dep[sources] = 0.0
-    return sums, dep.reshape(n, width).sum(axis=1)
+    return sums, dep.reshape(n, width).sum(axis=1), reached, ecc
 
 
-def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Brandes' sweep of every node, _BLOCK sources at a time: each node's
-    exact int64 distance sum and twice its betweenness.
+    exact int64 distance sum, twice its betweenness, and the int64 count
+    of nodes it reaches and its eccentricity, the fields of a ``Sweep``.
 
-    ``_bit_levels`` gives each block's BFS levels. The distance sums count
-    the bits of each level's words, as in ``_forward_sweep``: as d(s, v) =
-    d(v, s), they are each node's sums over every source. A level is kept
+    ``_bit_levels`` gives each block's BFS levels. The distance sums,
+    reached counts and eccentricities read the bits of each level's words,
+    as in ``_forward_sweep``: as d(s, v) = d(v, s), they are each node's
+    over every source. A level is kept
     as its (node, source) pairs, flat indices into the block's C-ordered
     (n, sources) arrays. ``dep`` holds the shortest-path counts sigma of
     every level found so far, and 1 at the sources; A @ dep gives the next
     level's sigma. A node at depth d has neighbours only at depths d - 1,
     d and d + 1, of which only the d - 1 entries are set yet, so each sum
     has the nonzero terms, in CSR order, of a product with the previous
-    level alone. The backward pass runs from the deepest level,
+    level alone. At depth 1 that level is the sources alone, so sigma is
+    1 with no product. The backward pass runs from the deepest level,
     delta += [level k-1] * sigma * (A @ ([level k] * (1 + delta) / sigma)),
     with ``weight`` holding (1 + delta) / sigma of every level passed and
     never cleared: a node at depth k - 1 sees only its depth-k entries.
     sigma becomes delta in place once its level is passed. The deepest
-    level sees an all-zero ``weight``, so its delta is 0, and the sources'
-    delta is set to 0 at the end.
+    level would see an all-zero ``weight``, so its delta is set to 0 and
+    its weight to 1 / sigma with no product, the bits the sums would give;
+    the sources' delta is set to 0 at the end.
 
     Each product (``_product_rows``) computes only the rows from the first
     to the last node of the level it feeds, each with the bits that the
@@ -257,20 +284,22 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(workers):
         free.put((np.empty((3, n * _BLOCK)), np.empty(n * _BLOCK, dtype=pair_type)))
 
-    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(lo: int) -> tuple[np.ndarray, ...]:
         buffers = free.get()
         try:
             return _brandes_block(g, lo, *buffers)
         finally:
             free.put(buffers)
 
-    def fold(results: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-        sums = np.zeros(n, dtype=np.int64)
+    def fold(results: Iterator[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+        sums, reached, ecc = np.zeros((3, n), dtype=np.int64)
         between = np.zeros(n)
-        for block_sums, block_between in results:
+        for block_sums, block_between, block_reached, block_ecc in results:
             np.add(sums, block_sums, out=sums)
             np.add(between, block_between, out=between)
-        return sums, between
+            np.add(reached, block_reached, out=reached)
+            np.maximum(ecc, block_ecc, out=ecc)
+        return sums, between, reached, ecc
 
     if workers == 1:
         return fold(map(block, range(0, n, _BLOCK)))
@@ -375,8 +404,12 @@ def eigenvector_centrality(g: Graph) -> np.ndarray:
     """
     if g.m == 0:
         raise DegenerateInputError("eigenvector centrality needs at least one edge")
-    parts = connected_components(g)
-    largest = parts.largest()
+    return _eigenvector(g, connected_components(g).largest())
+
+
+def _eigenvector(g: Graph, largest: list[int]) -> np.ndarray:
+    """``eigenvector_centrality`` of a graph with an edge, whose largest
+    component is ``largest``."""
     a = g.matrix if len(largest) == g.n else g.matrix[largest][:, largest]
     v = np.full(len(largest), 1.0 / len(largest))
     for iteration in range(1, _EIGEN_MAX_ITER + 1):
@@ -433,12 +466,11 @@ class GraphSummary:
     component_count: int
 
 
-def summarize(g: Graph) -> GraphSummary:
-    """Whole-graph statistics; degenerate metrics are reported as None.
-    One forward sweep of every source gives the path lengths and the
-    diameter."""
-    parts = connected_components(g)
-    sweep = _forward_sweep(g)
+def _summary(
+    g: Graph, parts: ComponentPartition, sweep: Sweep, clustering: np.ndarray
+) -> GraphSummary:
+    """The summary of ``g`` from its components ``parts``, a sweep of
+    every source and its local clustering."""
     # a sweep over every source sees each unordered pair from both ends
     reachable = int(sweep.reached.sum()) // 2
     total = g.n * (g.n - 1) // 2
@@ -446,14 +478,14 @@ def summarize(g: Graph) -> GraphSummary:
     if reachable:
         apl = int(sweep.dist_sums.sum()) // 2 / reachable
         frac = (total - reachable) / total
-    clust = global_clustering(g) if g.n >= 1 else None
     largest = parts.largest()
     return GraphSummary(
         n=g.n,
         m=g.m,
         average_path_length=apl,
         diameter=int(sweep.eccentricity[largest].max()) if len(largest) >= 2 else None,
-        global_clustering=clust,
+        # a Python sum in node order, as in global_clustering
+        global_clustering=sum(clustering.tolist()) / g.n if g.n else None,
         degree_distribution=degree_distribution(g) if g.n else {},
         unreachable_pair_fraction=frac,
         connected=parts.count == 1 and g.n > 0,
@@ -461,19 +493,24 @@ def summarize(g: Graph) -> GraphSummary:
     )
 
 
-def node_stats(g: Graph) -> list[NodeStats]:
-    """Per-node table: degree, clustering, closeness, betweenness,
-    eigenvector centrality. Closeness and betweenness come from one
-    Brandes sweep of every source."""
-    sums, twice_between = _brandes(g)
+def summarize(g: Graph) -> GraphSummary:
+    """Whole-graph statistics; degenerate metrics are reported as None.
+    One forward sweep of every source gives the path lengths and the
+    diameter, without the cost of Brandes' sweep."""
+    return _summary(g, connected_components(g), _forward_sweep(g), local_clustering(g))
+
+
+def _node_rows(
+    g: Graph, sums: np.ndarray, twice_between: np.ndarray, clustering: np.ndarray,
+    largest: list[int],
+) -> list[NodeStats]:
+    """The per-node table from Brandes' distance sums and doubled
+    betweenness, the local clustering and the largest component."""
     closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
     betweenness = twice_between / 2.0
-    if g.m > 0:
-        eigen = eigenvector_centrality(g)
-    else:
-        eigen = np.zeros(g.n)
+    eigen = _eigenvector(g, largest) if g.m > 0 else np.zeros(g.n)
     degrees = g.degrees()
-    clustering = local_clustering(g).tolist()
+    clustering = clustering.tolist()
     rows = []
     for i in range(g.n):
         rows.append(
@@ -488,3 +525,24 @@ def node_stats(g: Graph) -> list[NodeStats]:
             )
         )
     return rows
+
+
+def node_stats(g: Graph) -> list[NodeStats]:
+    """Per-node table: degree, clustering, closeness, betweenness,
+    eigenvector centrality. Closeness and betweenness come from one
+    Brandes sweep of every source."""
+    sums, twice_between, _, _ = _brandes(g)
+    return _node_rows(g, sums, twice_between, local_clustering(g),
+                      connected_components(g).largest())
+
+
+def analyze(g: Graph) -> tuple[GraphSummary, list[NodeStats]]:
+    """``summarize(g)`` and ``node_stats(g)`` with the same bits, from one
+    Brandes sweep, one clustering count and one components pass: the
+    sweep's reached counts and eccentricities give the path lengths and
+    the diameter."""
+    sums, twice_between, reached, ecc = _brandes(g)
+    parts = connected_components(g)
+    clustering = local_clustering(g)
+    summary = _summary(g, parts, Sweep(sums, reached, ecc), clustering)
+    return summary, _node_rows(g, sums, twice_between, clustering, parts.largest())

@@ -10,19 +10,23 @@ Result dataclasses serialize themselves: ``to_plain`` turns one into JSON
 values field by field, so each report key is the name of the field that
 holds its data, and ``rows_csv`` writes a list of them one field per
 column, which gives every CSV table but the streamed sync trajectory
-(``trajectory_csv``). Reports serialize to JSON with sorted keys so that a
-seeded run is byte-identical across repetitions; timestamps are omitted
-when the deterministic flag is set.
+(``trajectory_csv``). Reports serialize to JSON with sorted keys and an
+indent of 2 so that a seeded run is byte-identical across repetitions;
+timestamps are omitted when the deterministic flag is set. ``to_json``
+writes the bytes of ``json.dumps(to_plain(obj), sort_keys=True,
+indent=2)`` in one walk of the result, handing each container of JSON
+scalars whole to Python's C encoder.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 from .edgelist import ingest_edge_list
 from .errors import InputError, ToolkitError
@@ -229,12 +233,12 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
 
 def to_plain(obj: Any) -> Any:
     """JSON values of a result: a dataclass becomes a dict of its fields,
-    lists and mappings are walked, mapping keys become strings."""
+    lists, tuples and mappings are walked, mapping keys become strings."""
     if is_dataclass(obj):
         return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [to_plain(v) for v in obj]
     return obj
 
@@ -244,13 +248,66 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     return {k: v for k, v in to_plain(report).items() if v is not None}
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+@functools.cache
+def _encoder(depth: int) -> Callable[[Any], str]:
+    """The C encoder of a container at ``depth``: its items each on a line
+    of their own, indented one level deeper, which is the form that
+    ``indent=2`` gives without the newlines after its opening bracket and
+    before its closing one."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _write(obj: Any, depth: int, out: list[str]) -> None:
+    """Append ``obj`` at ``depth`` as ``to_json`` writes it to ``out``."""
+    encode = _encoder(depth)
+    if is_dataclass(obj):
+        obj = {name: getattr(obj, name) for name in _field_names(type(obj))}
+    elif isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+    elif not isinstance(obj, (list, tuple)):
+        out.append(encode(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    if all(type(v) in _SCALARS for v in (obj.values() if is_dict else obj)):
+        text = encode(obj)
+        out += (text[0], inner, text[1:-1], inner[:-2], text[-1])
+        return
+    items = ([(encode(k) + ": ", obj[k]) for k in sorted(obj)] if is_dict
+             else [("", v) for v in obj])
+    out.append("{" if is_dict else "[")
+    for i, (key, value) in enumerate(items):
+        out += ("," + inner if i else inner, key)
+        _write(value, depth + 1, out)
+    out += (inner[:-2], "}" if is_dict else "]")
+
+
 def to_json(obj: Any) -> str:
-    """``to_plain(obj)`` as JSON with sorted keys, the form of every report."""
-    return json.dumps(to_plain(obj), sort_keys=True, indent=2) + "\n"
+    """``to_plain(obj)`` as JSON with sorted keys and an indent of 2, the
+    form of every report, in one walk of ``obj``. A non-empty container
+    whose values are all of a JSON scalar type goes whole to Python's C
+    encoder, which ``json.dumps`` does not use when given an indent."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return to_json(report_to_dict(report))
+    """``to_json(report_to_dict(report))``."""
+    return to_json({name: value for name in _field_names(AnalysisReport)
+                    if (value := getattr(report, name)) is not None})
 
 
 # -- CSV emitters ----------------------------------------------------------------

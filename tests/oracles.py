@@ -11,11 +11,14 @@ its sparse coupling operator. ``power_law_ks`` measures a power-law fit
 at every integer of the tail, where the library measures it at the points
 that can hold the maximum. ``fraction_when_lcc_below`` and ``diameter_at``
 read the rows of a removal trace as the resilience criteria state them.
+``indented_json`` is the report form written by the standard library
+alone, as Python's pure-Python encoder gives it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 
@@ -24,6 +27,7 @@ from scipy.special import zeta
 
 from netsync.errors import DegenerateInputError, NumericalError
 from netsync.graph import Graph
+from netsync.report import to_plain
 
 
 def enumerate_simple_paths(g: Graph, s: int, t: int) -> list[list[int]]:
@@ -184,3 +188,9 @@ def diameter_at(rows, fraction: float) -> int:
         if row.fraction_removed <= fraction:
             best = row
     return best.diameter
+
+
+def indented_json(obj) -> str:
+    """``obj`` as a report writes it: JSON of its plain values, keys sorted,
+    an indent of 2 and a final newline."""
+    return json.dumps(to_plain(obj), sort_keys=True, indent=2) + "\n"

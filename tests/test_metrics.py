@@ -607,11 +607,59 @@ def test_forward_sweep_matches_networkx(name):
         assert s.diameter is None
 
 
-@pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated"])
-def test_forward_sweep_equals_the_brandes_sweep(name):
+@pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated", "no_edges"])
+def test_forward_sweep_equals_the_brandes_sweep(name, monkeypatch):
+    # distance sums, reached counts and eccentricities, on one worker and two
     g = KERNEL_GRAPHS[name]()
-    got, expected = metrics._forward_sweep(g).dist_sums, metrics._brandes(g)[0]
-    assert got.dtype == expected.dtype and (got == expected).all()
+    forward = metrics._forward_sweep(g)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        sums, _, reached, ecc = metrics._brandes(g)
+        for got, expected in zip(forward, (sums, reached, ecc)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated", "no_edges",
+                                  "edge_and_isolated"])
+def test_analyze_equals_summarize_and_node_stats(name):
+    g = KERNEL_GRAPHS[name]()
+    assert metrics.analyze(g) == (summarize(g), node_stats(g))
+
+
+def masked_depths(g, source, row):
+    """Depth of each node from ``source`` by a queue BFS that enters only
+    the nodes of the bool ``row``; -1 where unreached."""
+    depth = [-1] * g.n
+    depth[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in g.neighbors(u):
+            if row[v] and depth[v] < 0:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth
+
+
+@pytest.mark.parametrize("name", ["path300", "grid30", "tied_isolated"])
+def test_bfs_levels_match_a_queue_bfs(name):
+    # masked rows, 70 tasks (two blocks, one source starting several),
+    # and on the path depths past 255
+    g = path(300) if name == "path300" else {**KERNEL_GRAPHS, **DIAMETER_GRAPHS}[name]()
+    rng = np.random.default_rng(3)
+    members = rng.random((5, g.n)) < 0.9
+    members[0] = True
+    rows = rng.integers(0, 5, 70)
+    rows[:10] = 0
+    sources = np.array([rng.choice(np.flatnonzero(members[r])) for r in rows])
+    sources[1] = sources[0]
+    sources[2] = 0
+    ecc, level = metrics._bfs(g, sources, members, rows, levels=True)
+    expected = [masked_depths(g, s, members[r]) for s, r in zip(sources, rows)]
+    assert level.dtype == np.int32 and level.tolist() == expected
+    assert ecc.tolist() == [max(d) for d in expected]
+    assert metrics._bfs(g, sources, members, rows)[0].tolist() == ecc.tolist()
+    if name == "path300":
+        assert level.max() == 299
 
 
 SWEEP_ORACLE_GRAPHS = {

@@ -1,8 +1,15 @@
 import io
 import itertools
 import json
+import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netsync.cli
 import netsync.metrics
@@ -18,9 +25,12 @@ from netsync.report import (
     report_to_dict,
     report_to_json,
     run_pipeline,
+    to_json,
     trajectory_csv,
 )
 from netsync.synchronization import SyncConfig, simulate
+
+from oracles import indented_json
 
 
 def er_config(**overrides):
@@ -216,31 +226,117 @@ class TestReportSchema:
 
 
 def test_one_sweep_of_every_source(monkeypatch, tmp_path):
-    # each Brandes sweep of every source is counted; the forward sweeps of
-    # the summary and the resilience rows run on the bit-parallel kernel
-    real = netsync.metrics._brandes
-    full = []
+    # each sweep of every source and each clustering count is counted: the
+    # summary reads the forward sweep, a per-node table the Brandes sweep,
+    # and `analyze` reads its summary from the Brandes sweep too
+    calls = Counter()
+    for name in ("_brandes", "_forward_sweep", "local_clustering"):
+        def counting(g, name=name, real=getattr(netsync.metrics, name)):
+            calls[name] += 1
+            return real(g)
 
-    def counting(g):
-        full.append(True)
-        return real(g)
-
-    monkeypatch.setattr(netsync.metrics, "_brandes", counting)
+        monkeypatch.setattr(netsync.metrics, name, counting)
     run_pipeline(er_config())
-    assert full == [True]
+    assert calls["_brandes"] == 1
 
-    full.clear()
+    calls.clear()
     run_pipeline(er_config(stages=["summary"]))
-    assert full == []
+    assert calls["_brandes"] == 0
 
     edges = tmp_path / "er.edges"
     edges.write_text(serialize_edge_list(generate_er(ERParams(n=49, m=351, seed=3))))
     for fmt in ("json", "csv"):
-        full.clear()
+        calls.clear()
         out = tmp_path / f"analyze.{fmt}"
         argv = ["analyze", "--edge-list", str(edges), "--format", fmt, "--out", str(out)]
         assert netsync.cli.main(argv) == 0
-        assert full == [True], fmt
+        assert calls == {"_brandes": 1, "local_clustering": 1}, fmt
+
+
+@dataclass
+class Pair:
+    first: Any
+    second: Any
+
+
+@dataclass
+class Empty:
+    pass
+
+
+ESCAPED = ['"q"', "a\\b", "ü", "\x01", "\u2028", "\ud7ff\U0001f600"]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(ESCAPED), st.sampled_from(SPECIAL_FLOATS),
+    st.floats().map(np.float64),
+)
+KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.sampled_from(ESCAPED))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.builds(Pair, inner, inner),
+        st.just(Empty()),
+    ),
+    max_leaves=20,
+)
+
+
+@given(VALUES)
+@settings(max_examples=300, deadline=None)
+def test_to_json_equals_the_indented_json_oracle(value):
+    assert to_json(value) == indented_json(value)
+
+
+def test_to_json_on_empty_containers_at_every_depth():
+    for value in ([], {}, (), Empty(), [[]], {"a": {}}, Pair([], {}), [[[], {}], [Empty()]],
+                  {"x": [1, []], "y": Pair(2.5, ())}, [np.float64(-0.0), 1]):
+        assert to_json(value) == indented_json(value)
+
+
+CLI_REPORTS = {
+    "analyze": ["analyze"],
+    "fit_inline": ["fit", "--compare-er"],
+    "spectral": ["sync", "--spectral-only"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_REPORTS))
+def test_cli_reports_equal_the_indented_json_oracle(kind, monkeypatch, tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_text(serialize_edge_list(generate_er(ERParams(n=49, m=351, seed=3))))
+    argv = [*CLI_REPORTS[kind], "--edge-list", str(edges), "--out"]
+    assert netsync.cli.main([*argv, str(tmp_path / "got.json")]) == 0
+    monkeypatch.setattr(netsync.cli, "to_json", indented_json)
+    assert netsync.cli.main([*argv, str(tmp_path / "want.json")]) == 0
+    got, want = (tmp_path / "got.json").read_text(), (tmp_path / "want.json").read_text()
+    assert got == want
+    if kind == "fit_inline":
+        assert "comparison_csv" in json.loads(got)
+
+
+def overflowing(g):
+    raise NumericalError("shortest-path counts overflow float64")
+
+
+PIPELINE_REPORTS = {
+    "attack": {},
+    "ensemble": {"resilience": {"strategy": "error", "seeds": 3, "seed": 1}},
+    "failed_stage": {"stages": ["summary", "centralities", "spectral"]},
+    "timestamped": {"deterministic": False},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PIPELINE_REPORTS))
+def test_pipeline_reports_equal_the_indented_json_oracle(kind, monkeypatch):
+    if kind == "failed_stage":
+        monkeypatch.setattr(netsync.metrics, "_brandes", overflowing)
+    report = run_pipeline(er_config(**PIPELINE_REPORTS[kind]))
+    assert report_to_json(report) == indented_json(report_to_dict(report))
+    assert bool(report.errors) == (kind == "failed_stage")
 
 
 class TestTrajectoryCsv:

@@ -56,8 +56,10 @@ def test_paper_table(child_env):
 def test_output_digests(tmp_path, child_env):
     proc = run_script(child_env, "output_digests.py", tmp_path / "out", "--n", 60)
     lines = proc.stdout.splitlines()
-    assert len(lines) == 51  # 47 command outputs and the 4 edge lists
+    # 47 command outputs and the 4 edge lists, then the escaped labels' analyze
+    assert len(lines) == 52
     digest, name = lines[0].split("  ")
     assert len(digest) == 64 and name == "ba49.analyze.csv"
+    assert lines[-1].endswith("  labels.analyze.json")
     again = run_script(child_env, "output_digests.py", tmp_path / "again", "--n", 60)
     assert again.stdout == proc.stdout
