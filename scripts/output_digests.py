@@ -25,11 +25,11 @@ with ``--record-every 0.005``: a long-diameter input unlike the random
 graphs, and at least 81 recorded rows, so their diameters take more than
 one batch of 64 rows. The grid is 30x30 at the default ``--n`` and
 isqrt(n) wide below 900 nodes, but never under 9x9, which gives those 81
-rows. Every summary reads the bit-parallel forward sweep and every
-per-node table the Brandes sweep, which on the grid runs one product per
-level over dozens of levels; a summary-only pipeline on the grid and on
-the ``--n`` BA graph runs the forward sweep alone. The four edge lists are
-hashed too.
+rows. Every per-node table, and the summary beside it in ``analyze`` and
+in a pipeline with every stage, reads the Brandes sweep, which on the
+grid runs one product per level over dozens of levels; a summary-only
+pipeline on the grid and on the ``--n`` BA graph reads the bit-parallel
+forward sweep alone. The four edge lists are hashed too.
 
 The last line is the ``analyze`` JSON of one more small edge list, whose
 labels JSON must escape: ``"q"``, ``a\\b``, ``ü`` and the control

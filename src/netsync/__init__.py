@@ -24,7 +24,6 @@ from .metrics import (
     eigenvector_centrality,
     global_clustering,
     local_clustering,
-    node_stats,
     summarize,
 )
 from .powerlaw import PowerLawFit, distribution_comparison, fit_mle, sample_power_law

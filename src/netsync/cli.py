@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -17,7 +18,7 @@ from .edgelist import ingest_edge_list, serialize_edge_list
 from .errors import InputError, NumericalError, ValidationError
 from .fixture import load_fixture, validate_fixture
 from .generators import BAParams, ERParams, generate_ba, generate_er, rng_from_seed
-from .metrics import analyze, node_stats
+from .metrics import analyze
 from .powerlaw import distribution_comparison, fit_mle
 from .report import (
     PipelineConfig,
@@ -26,7 +27,6 @@ from .report import (
     rows_csv,
     run_pipeline,
     to_json,
-    to_plain,
     trajectory_csv,
 )
 from .resilience import RandomError, TargetedAttack, run_removals
@@ -122,12 +122,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g, record = read_input(args.edge_list)
+    summary, stats = analyze(g)
     if args.format == "csv":
         columns = ["label", "degree", "clustering", "closeness", "betweenness", "eigenvector"]
-        _emit(rows_csv(node_stats(g), columns), args.out)
-        return 0
-    summary, stats = analyze(g)
-    _emit(to_json({"summary": summary, "node_stats": stats, "input": record}), args.out)
+        _emit(rows_csv(stats, columns), args.out)
+    else:
+        _emit(to_json({"summary": summary, "node_stats": stats, "input": record}), args.out)
     return 0
 
 
@@ -138,7 +138,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if args.out and Path(args.out).resolve() == Path(args.comparison_out).resolve():
             raise InputError(f"--comparison-out: {args.comparison_out} is also --out")
     g = ingest_edge_list(args.edge_list).graph
-    payload = to_plain(fit_mle(g.degrees()))
+    payload = dataclasses.asdict(fit_mle(g.degrees()))
     if args.compare_er:
         reference = generate_er(ERParams(n=g.n, m=g.m, seed=args.seed))
         csv_text = rows_csv(distribution_comparison(g, reference))

@@ -2,12 +2,13 @@
 
 All functions are pure reads of an immutable graph. Every BFS runs 64 to
 a machine word on one bit-parallel kernel: the path lengths of
-``summarize``; iFUB from a double-sweep start, which measures ``diameter``
-and a stack of resilience rows, each a node mask of one graph, with a few
-BFS on most graphs; and the levels of Brandes' sweep (``_brandes``), which
-gives closeness and betweenness, and also the path lengths and the
-diameter, so that ``analyze`` reads the summary and the per-node table
-from one sweep. That sweep counts shortest paths and accumulates
+``summarize``, the summary alone; iFUB from a double-sweep start, which
+measures ``diameter`` and a stack of resilience rows, each a node mask of
+one graph, with a few BFS on most graphs; and the levels of Brandes' sweep
+(``_brandes``), which gives closeness and betweenness, and also the path
+lengths and the diameter, so that ``analyze``, the one producer of the
+per-node table, reads the summary and the table from one sweep. That
+sweep counts shortest paths and accumulates
 dependencies by sparse products on each level's rows, save the first
 level's and the deepest one's, whose results are known. Each product
 reads an array of every level found or passed so far: a node at depth d
@@ -16,7 +17,9 @@ level that it needs. Its blocks of 64 sources run on a thread pool with a
 thread per CPU, whose ``map`` gives their results back in block order to
 be added, so the outputs have the same bits at any worker count.
 Local clustering is one sparse triangle count. Eigenvector centrality is
-power iteration on the adjacency matrix of the largest component.
+power iteration on the adjacency matrix of the largest component, with
+ARPACK for the few graphs, such as long paths, on which it converges too
+slowly.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ _CHUNK = 1 << 14  # (node, source) pairs per elementwise step of a Brandes level
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _EIGEN_TOL = 1e-10  # power iteration stops once no entry moves this much
-_EIGEN_MAX_ITER = 100_000
+_EIGEN_MAX_ITER = 10_000  # power iterations before ARPACK takes over
 
 
 class Sweep(NamedTuple):
@@ -400,7 +403,11 @@ def eigenvector_centrality(g: Graph) -> np.ndarray:
 
     Computed on the largest component (other nodes score 0). The iteration
     runs on A + I, which has the same principal eigenvector but keeps
-    bipartite graphs from oscillating between the +/- lambda modes.
+    bipartite graphs from oscillating between the +/- lambda modes. Where
+    it has not converged after _EIGEN_MAX_ITER steps (a long path's gap
+    closes as 1/n^2), ARPACK's Lanczos solve from the ones vector gives
+    the vector, with its sign fixed so that it sums to a positive value.
+    Either result must pass the same residual check.
     """
     if g.m == 0:
         raise DegenerateInputError("eigenvector centrality needs at least one edge")
@@ -417,19 +424,30 @@ def _eigenvector(g: Graph, largest: list[int]) -> np.ndarray:
         w /= np.abs(w).max()
         if np.abs(w - v).max() < _EIGEN_TOL:
             v = w
+            method = f"power iteration after {iteration} iterations"
             break
         v = w
     else:
-        raise NumericalError(
-            f"power iteration did not converge within {_EIGEN_MAX_ITER} iterations"
-        )
+        # imported here alone: the module costs peak memory that the
+        # graphs which converge above never need
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+        try:
+            v = eigsh(a, k=1, which="LA", tol=0, v0=np.ones(len(largest)))[1][:, 0]
+        except ArpackNoConvergence:
+            raise NumericalError(
+                f"eigenvector centrality: neither {_EIGEN_MAX_ITER} power iterations "
+                "nor ARPACK converged"
+            ) from None
+        if v.sum() < 0:
+            v = -v
+        method = "ARPACK"
     lam = float(v @ (a @ v)) / float(v @ v)
     v = v / v.max()
     residual = np.abs(a @ v - lam * v).max()
     if lam > 0 and residual / lam > 1e-8:
         raise NumericalError(
-            f"power iteration residual {residual / lam:.2e} above tolerance "
-            f"after {iteration} iterations"
+            f"eigenvector residual {residual / lam:.2e} above tolerance, by {method}"
         )
     out = np.zeros(g.n)
     out[np.asarray(largest, dtype=np.int64)] = v
@@ -500,49 +518,23 @@ def summarize(g: Graph) -> GraphSummary:
     return _summary(g, connected_components(g), _forward_sweep(g), local_clustering(g))
 
 
-def _node_rows(
-    g: Graph, sums: np.ndarray, twice_between: np.ndarray, clustering: np.ndarray,
-    largest: list[int],
-) -> list[NodeStats]:
-    """The per-node table from Brandes' distance sums and doubled
-    betweenness, the local clustering and the largest component."""
-    closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
-    betweenness = twice_between / 2.0
-    eigen = _eigenvector(g, largest) if g.m > 0 else np.zeros(g.n)
-    degrees = g.degrees()
-    clustering = clustering.tolist()
-    rows = []
-    for i in range(g.n):
-        rows.append(
-            NodeStats(
-                node=i,
-                label=g.label_of(i),
-                degree=degrees[i],
-                clustering=clustering[i],
-                closeness=None if math.isnan(closeness[i]) else float(closeness[i]),
-                betweenness=float(betweenness[i]),
-                eigenvector=float(eigen[i]),
-            )
-        )
-    return rows
-
-
-def node_stats(g: Graph) -> list[NodeStats]:
-    """Per-node table: degree, clustering, closeness, betweenness,
-    eigenvector centrality. Closeness and betweenness come from one
-    Brandes sweep of every source."""
-    sums, twice_between, _, _ = _brandes(g)
-    return _node_rows(g, sums, twice_between, local_clustering(g),
-                      connected_components(g).largest())
-
-
 def analyze(g: Graph) -> tuple[GraphSummary, list[NodeStats]]:
-    """``summarize(g)`` and ``node_stats(g)`` with the same bits, from one
-    Brandes sweep, one clustering count and one components pass: the
-    sweep's reached counts and eccentricities give the path lengths and
-    the diameter."""
+    """The summary, with the bits of ``summarize(g)``, and the per-node
+    table: degree, clustering, closeness, betweenness and eigenvector
+    centrality. One Brandes sweep, one clustering count and one components
+    pass give both: the sweep's distance sums give closeness, its reached
+    counts and eccentricities the path lengths and the diameter."""
     sums, twice_between, reached, ecc = _brandes(g)
     parts = connected_components(g)
     clustering = local_clustering(g)
     summary = _summary(g, parts, Sweep(sums, reached, ecc), clustering)
-    return summary, _node_rows(g, sums, twice_between, clustering, parts.largest())
+    closeness = np.divide(1.0, sums, out=np.full(g.n, np.nan), where=sums > 0)
+    eigen = _eigenvector(g, parts.largest()) if g.m > 0 else np.zeros(g.n)
+    columns = zip(g.degrees(), clustering.tolist(), closeness.tolist(),
+                  (twice_between / 2.0).tolist(), eigen.tolist())
+    rows = [
+        NodeStats(node=i, label=g.label_of(i), degree=k, clustering=c,
+                  closeness=None if math.isnan(x) else x, betweenness=b, eigenvector=e)
+        for i, (k, c, x, b, e) in enumerate(columns)
+    ]
+    return summary, rows

@@ -2,20 +2,23 @@
 
 A pipeline run ingests or generates a graph, executes the requested stages
 (summary, centralities, fit, spectral, resilience) in the order the config
-lists them, and embeds each stage's output in a single report; no stage
-reads another's output, so the report does not depend on that order. A
-failing stage is recorded under ``errors`` without aborting the others.
+lists them, and embeds each stage's output in a single report, which does
+not depend on that order. A failing stage is recorded under ``errors``
+without aborting the others. One ``metrics.analyze`` gives the per-node
+table and the summary beside it; a summary alone comes from
+``metrics.summarize``, with the same bits.
 
-Result dataclasses serialize themselves: ``to_plain`` turns one into JSON
-values field by field, so each report key is the name of the field that
-holds its data, and ``rows_csv`` writes a list of them one field per
-column, which gives every CSV table but the streamed sync trajectory
-(``trajectory_csv``). Reports serialize to JSON with sorted keys and an
-indent of 2 so that a seeded run is byte-identical across repetitions;
-timestamps are omitted when the deterministic flag is set. ``to_json``
-writes the bytes of ``json.dumps(to_plain(obj), sort_keys=True,
-indent=2)`` in one walk of the result, handing each container of JSON
-scalars whole to Python's C encoder.
+Result dataclasses serialize themselves: ``to_json`` writes one field by
+field, so each report key is the name of the field that holds its data,
+and ``rows_csv`` writes a list of them one field per column, which gives
+every CSV table but the streamed sync trajectory (``trajectory_csv``).
+Reports serialize to JSON with sorted keys and an indent of 2 so that a
+seeded run is byte-identical across repetitions; timestamps are omitted
+when the deterministic flag is set. ``to_json`` writes the bytes that
+``json.dumps(..., sort_keys=True, indent=2)`` gives for the result's
+fields, with mapping keys as strings and tuples as lists, in one walk of
+the result, handing each container of JSON scalars whole to Python's C
+encoder.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .edgelist import ingest_edge_list
 from .errors import InputError, ToolkitError
 from .generators import BAParams, ERParams, generate_ba, generate_er
 from .graph import Graph
-from .metrics import GraphSummary, NodeStats, node_stats, summarize
+from .metrics import GraphSummary, NodeStats, analyze, summarize
 from .powerlaw import PowerLawFit, fit_mle
 from .resilience import (
     EnsembleTrace,
@@ -196,6 +199,11 @@ def _resolve_graph(cfg: PipelineConfig) -> tuple[Graph, dict[str, Any]]:
 
 
 def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
+    """The report of the stages of ``cfg``. A staged ``centralities`` runs
+    ``analyze`` once, first, and a staged ``summary`` takes its summary.
+    If it fails (say, its path counts overflow), the error is recorded
+    under ``centralities`` and the summary comes from ``summarize``, whose
+    forward sweep counts no paths."""
     from . import __version__
 
     graph, input_descriptor = _resolve_graph(cfg)
@@ -208,13 +216,17 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     if not cfg.deterministic:
         provenance["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = AnalysisReport(provenance=provenance)
+    summary = None
+    if "centralities" in cfg.stages:
+        try:
+            summary, report.node_stats = analyze(graph)
+        except ToolkitError as exc:
+            report.errors["centralities"] = str(exc)
 
     for stage in cfg.stages:
         try:
             if stage == "summary":
-                report.summary = summarize(graph)
-            elif stage == "centralities":
-                report.node_stats = node_stats(graph)
+                report.summary = summarize(graph) if summary is None else summary
             elif stage == "fit":
                 report.power_law_fit = fit_mle(graph.degrees())
             elif stage == "spectral":
@@ -229,23 +241,6 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
 
 
 # -- serialization --------------------------------------------------------------
-
-
-def to_plain(obj: Any) -> Any:
-    """JSON values of a result: a dataclass becomes a dict of its fields,
-    lists, tuples and mappings are walked, mapping keys become strings."""
-    if is_dataclass(obj):
-        return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_plain(v) for v in obj]
-    return obj
-
-
-def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    """``to_plain(report)`` without the stages that did not run."""
-    return {k: v for k, v in to_plain(report).items() if v is not None}
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -294,10 +289,12 @@ def _write(obj: Any, depth: int, out: list[str]) -> None:
 
 
 def to_json(obj: Any) -> str:
-    """``to_plain(obj)`` as JSON with sorted keys and an indent of 2, the
-    form of every report, in one walk of ``obj``. A non-empty container
-    whose values are all of a JSON scalar type goes whole to Python's C
-    encoder, which ``json.dumps`` does not use when given an indent."""
+    """``obj`` as JSON with sorted keys and an indent of 2, the form of
+    every report, in one walk of ``obj``: a dataclass is written as a
+    mapping of its fields, mapping keys as strings, tuples as lists. A
+    non-empty container whose values are all of a JSON scalar type goes
+    whole to Python's C encoder, which ``json.dumps`` does not use when
+    given an indent."""
     out: list[str] = []
     _write(obj, 0, out)
     out.append("\n")
@@ -305,7 +302,7 @@ def to_json(obj: Any) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """``to_json(report_to_dict(report))``."""
+    """``to_json`` of ``report`` without the stages that did not run."""
     return to_json({name: value for name in _field_names(AnalysisReport)
                     if (value := getattr(report, name)) is not None})
 

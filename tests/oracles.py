@@ -11,7 +11,9 @@ its sparse coupling operator. ``power_law_ks`` measures a power-law fit
 at every integer of the tail, where the library measures it at the points
 that can hold the maximum. ``fraction_when_lcc_below`` and ``diameter_at``
 read the rows of a removal trace as the resilience criteria state them.
-``indented_json`` is the report form written by the standard library
+``to_plain`` gives the JSON values of a result field by field,
+``report_to_dict`` those of a report without the stages that did not run,
+and ``indented_json`` is the report form written by the standard library
 alone, as Python's pure-Python encoder gives it.
 """
 
@@ -21,13 +23,14 @@ import itertools
 import json
 import math
 from collections import deque
+from dataclasses import fields, is_dataclass
+from typing import Any
 
 import numpy as np
 from scipy.special import zeta
 
 from netsync.errors import DegenerateInputError, NumericalError
 from netsync.graph import Graph
-from netsync.report import to_plain
 
 
 def enumerate_simple_paths(g: Graph, s: int, t: int) -> list[list[int]]:
@@ -188,6 +191,24 @@ def diameter_at(rows, fraction: float) -> int:
         if row.fraction_removed <= fraction:
             best = row
     return best.diameter
+
+
+def to_plain(obj: Any) -> Any:
+    """JSON values of a result: a dataclass becomes a dict of its fields,
+    lists, tuples and mappings are walked, mapping keys become strings."""
+    if is_dataclass(obj):
+        return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_plain(v) for v in obj]
+    return obj
+
+
+def report_to_dict(report) -> dict[str, Any]:
+    """``to_plain(report)`` of an ``AnalysisReport`` without the stages
+    that did not run."""
+    return {k: v for k, v in to_plain(report).items() if v is not None}
 
 
 def indented_json(obj) -> str:

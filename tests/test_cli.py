@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -11,14 +12,17 @@ import sys
 from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netsync.cli
 from netsync.cli import build_parser, main
 from netsync.edgelist import ingest_edge_list
 from netsync.generators import ERParams, generate_er
+from netsync.powerlaw import fit_mle
 
 
 FIXTURE_HEADER = "country,code,degree,clustering,closeness,betweenness,eigenvector\n"
@@ -63,6 +67,40 @@ def test_analyze_json(ba_file, tmp_path):
             "eigenvector"} <= set(row)
 
 
+def path_edges(tmp_path, n):
+    """The edge list of an n-node path, labelled 0 to n - 1 along it."""
+    edges = tmp_path / f"path{n}.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    return edges
+
+
+def test_analyze_on_a_long_path(tmp_path):
+    # power iteration closes the gap of a 500-node path too slowly, so the
+    # eigenvector comes from ARPACK; the closed form is sin(pi k / (n + 1))
+    # at the k-th node, rescaled to a maximum of 1
+    n = 500
+    out = tmp_path / "path.json"
+    assert main(["analyze", "--edge-list", str(path_edges(tmp_path, n)), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["node_stats"]
+    k = np.array([int(row["label"]) + 1 for row in rows])
+    expected = np.sin(np.pi * k / (n + 1)) / np.sin(np.pi * (n // 2) / (n + 1))
+    got = np.array([row["eigenvector"] for row in rows])
+    assert np.abs(got - expected).max() < 1e-8
+
+
+def test_pipeline_tables_equal_analyze(ba_file, tmp_path):
+    # the pipeline's summary and per-node table are those of `analyze`
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": {"edge_list": str(ba_file)}, "stages": "all"}))
+    report, analyzed = tmp_path / "report.json", tmp_path / "analyze.json"
+    assert main(["pipeline", "--config", str(cfg), "--deterministic", "--out", str(report)]) == 0
+    assert main(["analyze", "--edge-list", str(ba_file), "--out", str(analyzed)]) == 0
+    report, analyzed = json.loads(report.read_text()), json.loads(analyzed.read_text())
+    assert report["errors"] == {}
+    for key in ("summary", "node_stats"):
+        assert report[key] == analyzed[key], key
+
+
 def test_analyze_csv_mirrors_reference_columns(ba_file, tmp_path):
     out = tmp_path / "stats.csv"
     assert main(["analyze", "--edge-list", str(ba_file), "--format", "csv",
@@ -94,6 +132,20 @@ def test_fit_subcommand(ba_file, tmp_path):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows == expected
     assert any(row[1] == "" for row in rows) and any(row[2] == "" for row in rows)
+
+
+def test_fit_leaves_the_fit_it_writes_unchanged(ba_file, tmp_path, monkeypatch):
+    # the inline comparison goes into the payload, not into the frozen fit
+    fits = []
+    monkeypatch.setattr(netsync.cli, "fit_mle",
+                        lambda degrees: fits.append(fit_mle(degrees)) or fits[-1])
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--edge-list", str(ba_file), "--compare-er", "--out", str(out)]) == 0
+    (fit,) = fits
+    assert vars(fit) == dataclasses.asdict(fit_mle(ingest_edge_list(ba_file).graph.degrees()))
+    data = json.loads(out.read_text())
+    assert data.pop("comparison_csv").startswith("k,p_observed,p_reference\n")
+    assert data == vars(fit)
 
 
 def test_resilience_attack_csv(ba_file, tmp_path):
@@ -177,17 +229,19 @@ def test_sync_full_states(tmp_path):
 
 def test_sync_bytes_equal_at_one_and_two_blas_threads(tmp_path, child_env):
     # on BA(1000): a seeded run to the default t_max, past its fixed point,
-    # and the spectral report, above the size of a dense eigensolve
+    # and the spectral report, above the size of a dense eigensolve; and
+    # `analyze` on a 500-node path, whose eigenvector comes from ARPACK
     edges = tmp_path / "ba.edges"
     assert main(["generate", "ba", "--n", "1000", "--m", "3", "--seed", "7",
                  "--out", str(edges)]) == 0
-    for args in (["--seed", "3"], ["--spectral-only"]):
+    sync = ["sync", "--edge-list", str(edges)]
+    for args in ([*sync, "--seed", "3"], [*sync, "--spectral-only"],
+                 ["analyze", "--edge-list", str(path_edges(tmp_path, 500))]):
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"sync{threads}.out"
+            out = tmp_path / f"out{threads}"
             proc = subprocess.run(
-                [sys.executable, "-m", "netsync.cli", "sync", "--edge-list", str(edges),
-                 *args, "--out", str(out)],
+                [sys.executable, "-m", "netsync.cli", *args, "--out", str(out)],
                 capture_output=True, text=True, timeout=120,
                 env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
             )

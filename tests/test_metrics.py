@@ -15,13 +15,13 @@ from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync import metrics
 from netsync.metrics import (
+    analyze,
     betweenness_centrality,
     degree_distribution,
     diameter,
     eigenvector_centrality,
     global_clustering,
     local_clustering,
-    node_stats,
     summarize,
 )
 
@@ -235,7 +235,7 @@ class TestCloseness:
         rng = np.random.default_rng(12)
         for _ in range(30):
             g = random_graph(rng, max_n=8)
-            for s, row in enumerate(node_stats(g)):
+            for s, row in enumerate(analyze(g)[1]):
                 dist = [brute_force_distance(g, s, t) for t in range(g.n)]
                 total = sum(d for d in dist if d != INF)
                 assert row.closeness == (1.0 / total if total else None)
@@ -363,7 +363,7 @@ class TestSummary:
 
 class TestNodeStats:
     def test_star_rows(self):
-        rows = node_stats(star(4))
+        rows = analyze(star(4))[1]
         center = rows[0]
         assert center.degree == 4
         assert center.betweenness == 6.0
@@ -373,7 +373,7 @@ class TestNodeStats:
         assert leaf.betweenness == 0.0
 
     def test_isolated_node_has_no_closeness(self):
-        rows = node_stats(Graph(3, [(0, 1)]))
+        rows = analyze(Graph(3, [(0, 1)]))[1]
         assert rows[2].closeness is None
         assert rows[2].eigenvector == 0.0
 
@@ -384,7 +384,7 @@ class TestEdgeCases:
         s = summarize(g)
         assert (s.n, s.average_path_length, s.diameter, s.component_count) == (0, None, None, 0)
         assert betweenness_centrality(g).shape == (0,)
-        assert node_stats(g) == []
+        assert analyze(g)[1] == []
         with pytest.raises(InputError):
             diameter(g)
 
@@ -394,20 +394,20 @@ class TestEdgeCases:
         assert s.average_path_length is None and s.diameter is None
         assert s.unreachable_pair_fraction is None
         assert list(betweenness_centrality(g)) == [0.0]
-        (row,) = node_stats(g)
+        (row,) = analyze(g)[1]
         assert row.closeness is None and row.betweenness == 0.0
 
     def test_edgeless(self):
         g = Graph(5)
         assert list(betweenness_centrality(g)) == [0.0] * 5
-        assert all(r.closeness is None for r in node_stats(g))
+        assert all(r.closeness is None for r in analyze(g)[1])
         s = summarize(g)
         assert s.average_path_length is None and s.diameter is None
         assert s.unreachable_pair_fraction is None
 
     def test_isolated_node_among_components(self):
         g = Graph(6, [(0, 1), (1, 2), (4, 5)])
-        c = [row.closeness for row in node_stats(g)]
+        c = [row.closeness for row in analyze(g)[1]]
         assert [v is None for v in c] == [False, False, False, True, False, False]
         assert c[1] == 0.5 and c[4] == 1.0
         s = summarize(g)
@@ -452,7 +452,7 @@ def test_distances_match_networkx(name):
     lengths = dict(nx.all_pairs_shortest_path_length(h))
     sums = [sum(lengths[v].values()) for v in range(g.n)]
     expected = [1.0 / s if s else None for s in sums]
-    assert [row.closeness for row in node_stats(g)] == expected
+    assert [row.closeness for row in analyze(g)[1]] == expected
 
     reachable = sum(len(lengths[v]) - 1 for v in range(g.n)) // 2
     pairs = g.n * (g.n - 1) // 2
@@ -531,7 +531,7 @@ def test_clustering_matches_networkx(name):
     expected = nx.clustering(to_networkx(g))
     got = local_clustering(g)
     assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-15, abs=0)
-    assert [r.clustering for r in node_stats(g)] == got.tolist()
+    assert [r.clustering for r in analyze(g)[1]] == got.tolist()
 
 
 BETWEENNESS_GRAPHS = {
@@ -551,7 +551,7 @@ def test_betweenness_matches_networkx(name, monkeypatch):
         monkeypatch.setattr(metrics, "_WORKERS", workers)
         got = betweenness_centrality(g)
         assert got == pytest.approx([expected[v] for v in range(g.n)], rel=1e-9, abs=1e-9)
-        assert [r.betweenness for r in node_stats(g)] == list(got)
+        assert [r.betweenness for r in analyze(g)[1]] == list(got)
 
 
 # -- the bit-parallel kernel against networkx ---------------------------------------
@@ -622,8 +622,19 @@ def test_forward_sweep_equals_the_brandes_sweep(name, monkeypatch):
 @pytest.mark.parametrize("name", ["ba127", "grid30", "tied_isolated", "no_edges",
                                   "edge_and_isolated"])
 def test_analyze_equals_summarize_and_node_stats(name):
+    # the summary has the bits of the forward sweep's, and the table those
+    # of the dense sweep, the clustering count and the eigenvector alone
     g = KERNEL_GRAPHS[name]()
-    assert metrics.analyze(g) == (summarize(g), node_stats(g))
+    summary, rows = analyze(g)
+    assert summary == summarize(g)
+    sums, twice_between = dense_brandes(g)
+    eigen = eigenvector_centrality(g).tolist() if g.m else [0.0] * g.n
+    assert rows == [
+        metrics.NodeStats(i, g.label_of(i), k, c, 1.0 / d if d else None, b, e)
+        for i, (k, c, d, b, e) in enumerate(zip(
+            g.degrees(), local_clustering(g).tolist(), sums.tolist(),
+            (twice_between / 2.0).tolist(), eigen))
+    ]
 
 
 def masked_depths(g, source, row):
@@ -760,7 +771,7 @@ def test_path_count_overflow_on_two_workers(monkeypatch):
     monkeypatch.setattr(metrics, "_WORKERS", 2)
     threads = threading.active_count()
     with pytest.raises(NumericalError, match="^shortest-path counts overflow float64$"):
-        node_stats(g)
+        analyze(g)
     assert threading.active_count() == threads
 
 

@@ -22,7 +22,6 @@ from netsync.metrics import summarize
 from netsync.report import (
     ALL_STAGES,
     PipelineConfig,
-    report_to_dict,
     report_to_json,
     run_pipeline,
     to_json,
@@ -30,7 +29,7 @@ from netsync.report import (
 )
 from netsync.synchronization import SyncConfig, simulate
 
-from oracles import indented_json
+from oracles import indented_json, report_to_dict
 
 
 def er_config(**overrides):
@@ -171,6 +170,19 @@ class TestPipeline:
         assert report.node_stats is None
         assert report.summary == summarize(generate_er(ERParams(n=49, m=351, seed=3)))
 
+    def test_eigenvector_failure_costs_only_centralities(self, monkeypatch):
+        # the Brandes sweep ran and its summary is lost with the table; a
+        # staged summary comes from the forward sweep instead
+        def failing(g, largest):
+            raise NumericalError("eigenvector residual above tolerance")
+
+        monkeypatch.setattr(netsync.metrics, "_eigenvector", failing)
+        report = run_pipeline(er_config())
+        assert report.errors == {"centralities": "eigenvector residual above tolerance"}
+        assert report.node_stats is None
+        assert report.summary == summarize(generate_er(ERParams(n=49, m=351, seed=3)))
+        assert report.spectral is not None and report.resilience is not None
+
 
 SUMMARY_KEYS = {
     "n", "m", "average_path_length", "diameter", "global_clustering",
@@ -226,22 +238,23 @@ class TestReportSchema:
 
 
 def test_one_sweep_of_every_source(monkeypatch, tmp_path):
-    # each sweep of every source and each clustering count is counted: the
-    # summary reads the forward sweep, a per-node table the Brandes sweep,
-    # and `analyze` reads its summary from the Brandes sweep too
+    # each sweep of every source, each clustering count and each components
+    # pass of `metrics` is counted: a per-node table, and a summary beside
+    # it, read one Brandes sweep; a summary alone reads the forward sweep
     calls = Counter()
-    for name in ("_brandes", "_forward_sweep", "local_clustering"):
+    for name in ("_brandes", "_forward_sweep", "local_clustering", "connected_components"):
         def counting(g, name=name, real=getattr(netsync.metrics, name)):
             calls[name] += 1
             return real(g)
 
         monkeypatch.setattr(netsync.metrics, name, counting)
-    run_pipeline(er_config())
-    assert calls["_brandes"] == 1
-
-    calls.clear()
-    run_pipeline(er_config(stages=["summary"]))
-    assert calls["_brandes"] == 0
+    once = {"local_clustering": 1, "connected_components": 1}
+    for stages, sweep in (("all", "_brandes"), (["summary"], "_forward_sweep"),
+                          (["centralities"], "_brandes"),
+                          (["centralities", "fit", "summary"], "_brandes")):
+        calls.clear()
+        run_pipeline(er_config(stages=stages))
+        assert calls == {sweep: 1, **once}, stages
 
     edges = tmp_path / "er.edges"
     edges.write_text(serialize_edge_list(generate_er(ERParams(n=49, m=351, seed=3))))
@@ -250,7 +263,7 @@ def test_one_sweep_of_every_source(monkeypatch, tmp_path):
         out = tmp_path / f"analyze.{fmt}"
         argv = ["analyze", "--edge-list", str(edges), "--format", fmt, "--out", str(out)]
         assert netsync.cli.main(argv) == 0
-        assert calls == {"_brandes": 1, "local_clustering": 1}, fmt
+        assert calls == {"_brandes": 1, **once}, fmt
 
 
 @dataclass
