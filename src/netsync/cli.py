@@ -206,6 +206,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raw = json.loads(Path(args.config).read_text())
     except ValueError as exc:
         raise InputError(f"--config: {args.config} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"--config: {args.config} nests too deeply to read") from None
     cfg = PipelineConfig.from_dict(raw)
     if args.deterministic:
         cfg.deterministic = True

@@ -51,11 +51,16 @@ class DivergenceError(NumericalError):
         self.time = time
 
 
-def check_memory(nbytes: float, what: str) -> None:
+def check_memory(nbytes: int | float, what: str) -> None:
     """Raise InputError, naming the bytes, when ``what`` needs more than
-    the machine's physical memory."""
+    the machine's physical memory, counted exactly for an integer."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
+        try:
+            shown = f"{nbytes:.6g}"
+        except OverflowError:  # an integer beyond the float range
+            from decimal import Decimal
+            shown = f"{Decimal(nbytes).normalize():.6g}"
         raise InputError(
-            f"{what} need {nbytes:.6g} bytes, more than the {memory} bytes of physical memory"
+            f"{what} need {shown} bytes, more than the {memory} bytes of physical memory"
         )

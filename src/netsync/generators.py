@@ -18,11 +18,12 @@ from .graph import Graph
 
 def _check_graph_memory(model: str, n: int, edges: int) -> None:
     """Reject a graph whose arrays cannot fit, before any is built. The
-    bytes are a lower bound on what ``Graph`` holds while it is built: per
-    edge its int64 pair and two stored entries, each a float64 value and
-    the int64 column they are sorted by; per node an int64 degree count and
-    an int32 row pointer. The generators' Python lists come on top."""
-    check_memory(48.0 * edges + 12.0 * n, f"the arrays of {model}(n={n}) with {edges} edges")
+    bytes, an exact integer at any count, are a lower bound on what ``Graph``
+    holds while it is built: per edge its int64 pair and two stored entries,
+    each a float64 value and the int64 column they are sorted by; per node
+    an int64 degree count and an int32 row pointer. The generators' Python
+    lists come on top."""
+    check_memory(48 * edges + 12 * n, f"the arrays of {model}(n={n}) with {edges} edges")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -211,7 +211,7 @@ def run_removals(
     if isinstance(strategy, TargetedAttack) or seeds == 1:
         return run_resilience(g, strategy, record_every)
     recorded = _recorded(g.n, record_every)
-    check_memory(24.0 * seeds * len(recorded), f"the rows of {seeds} error runs")
+    check_memory(24 * seeds * len(recorded), f"the rows of {seeds} error runs")
     first = strategy.seed
     # (run, row, quantity) for the quantities diameter, lcc_size, components
     runs = np.empty((seeds, len(recorded), 3), dtype=np.int64)

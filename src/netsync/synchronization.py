@@ -195,9 +195,11 @@ class SyncConfig:
     dynamics: str | Dynamics = "zero"
     inner_coupling: np.ndarray | None = None
 
-    def validate(self, n: int = 0, keep_states: bool = False) -> None:
-        """Check the settings, and that the arrays ``simulate`` allocates
-        for ``n`` nodes fit in physical memory."""
+    def validate(self, n: int = 1, keep_states: bool = False) -> None:
+        """Check the settings for a run on ``n`` nodes, and that the arrays
+        ``simulate`` allocates for them fit in physical memory."""
+        if n < 1:
+            raise InputError("simulation needs at least 1 node")
         for name in ("c", "dt", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
@@ -217,14 +219,16 @@ class SyncConfig:
                     f"got shape {gamma.shape}"
                 )
         steps = self.t_max / self.dt
-        # times and errors; kept states (or the last); the stepper's working
-        # set of 12 states: the 3 slots of its ring of states, the 4 stages,
-        # tmp, acc, and at most 3 temporaries at a time, those of f (logistic
-        # holds r*x, 1-x and their product), which outnumber Gamma's one copy
-        rows = steps + 1.0
-        floats = 2.0 * rows + n * self.state_dim * ((rows if keep_states else 1.0) + 12)
-        check_memory(8.0 * floats, f"{steps:.6g} steps of {n} nodes")
-        # after the memory check, which refuses an infinite step count
+        what = f"{steps:.6g} steps of {n} nodes"
+        if math.isinf(steps):
+            check_memory(math.inf, what)
+        # in integers, which no count overflows: times and errors; kept states
+        # (or the last); the stepper's working set of 11 states: the 2 slots
+        # of its ring of states, the 4 stages, tmp, acc, and at most 3
+        # temporaries of f (logistic holds r*x, 1-x and their product)
+        rows = round(steps) + 1
+        kept = rows if keep_states else 1
+        check_memory(8 * (2 * rows + n * self.state_dim * (kept + 11)), what)
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
             raise InputError(
                 f"t_max must be a whole number of dt steps, got t_max={self.t_max}, dt={self.dt}"
@@ -276,17 +280,14 @@ def simulate(
     """Integrate with fixed-step RK4, recording the per-step worst-case deviation
     from the state mean; every step's state is kept only for ``keep_states``.
 
-    The run stops early, with exact results, at the first step that returns,
-    bit for bit, the state of one step before (a fixed point) or of two
-    steps before (a cycle of period 2): a step reads nothing but the state,
-    so every later step would repeat it, and the rest of the error series
-    (and of the kept states) repeats the last one or two. A callable
+    The run stops early, with exact results, at the first step that returns
+    its input bit for bit (a fixed point): a step reads nothing but the
+    state, so every later step would return it too, and the rest of the
+    error series (and of the kept states) repeats the last one. A callable
     ``cfg.dynamics`` must therefore be a function of the state alone. An
     ``x0`` that is not finite, or whose step-0 error overflows, is refused."""
-    if g.n == 0:
-        raise InputError("simulation needs at least 1 node")
     cfg.validate(g.n, keep_states)
-    x = np.array(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64, order="C")
     if x.ndim == 1:
         x = x[:, None]
     if x.shape != (g.n, cfg.state_dim):
@@ -330,13 +331,11 @@ def simulate(
     # to the zero it finds in its output; every other operation is one that
     # the allocating RK4 expression evaluates, in its order, so the outputs
     # are that expression's bits. The kernel reads a C-ordered state, which
-    # every slot of the ring is: ring[s % 3] holds x(s), and step s reads
-    # the slot of x(s - 1) and writes x(s) over that of x(s - 3), so the
-    # states of the two steps before stay in place without a copy.
-    ring = np.empty((3, n, dim))
-    ring[0] = x
-    # each slot as a state, its flat view and its bit patterns
-    slots = list(zip(ring, ring.reshape(3, -1), ring.view(np.uint64)))
+    # both slots of the ring of states are: slot s % 2 (slot 0 is x, the
+    # copy of x0) holds x(s), and step s reads the slot of x(s - 1) and writes
+    # x(s) over that of x(s - 2), so the state of the step before stays put.
+    # Each slot as a state, its flat view and its bit patterns:
+    slots = [(s, s.reshape(-1), s.view(np.uint64)) for s in (x, np.empty((n, dim)))]
     ks = np.empty((4, n, dim))
     acc = np.empty((n, dim))
     k1, k2, k3, k4 = ks
@@ -357,15 +356,6 @@ def simulate(
         if f is not _no_dynamics:
             np.add(f(state), out, out=out)
 
-    # The step map reads x alone: ks, tmp, acc and centre are rewritten
-    # before they are read, Gamma and the coupling are fixed, and f takes no
-    # t. So once a step returns the state of one or of two steps before, bit
-    # for bit, every later step repeats that state or that pair of states,
-    # and the loop stops there. Such a step repeats that step's error, so
-    # only then are the slots compared, by bit pattern, where -0.0 and +0.0
-    # differ. The error before step 1 is nan, which equals no error.
-    before = math.nan
-
     # overflow on the way to divergence is reported via DivergenceError,
     # not as a numpy warning; a non-finite state gives a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,8 +363,8 @@ def simulate(
         if not math.isfinite(previous):
             raise InputError("x0 overflows float64 in a column sum or a deviation from the mean")
         for step in range(1, steps + 1):
-            x, x_flat, x_bits = slots[(step - 1) % 3]
-            new, _, new_bits = slots[step % 3]
+            x, x_flat, x_bits = slots[(step - 1) % 2]
+            new, _, new_bits = slots[step % 2]
             # new <- x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
             ks.fill(0.0)
             deriv(x, x_flat, k1, k1_flat)
@@ -396,20 +386,20 @@ def simulate(
                 )
             if keep_states:
                 states[step] = new
-            if ((error == previous and np.array_equal(new_bits, x_bits))
-                    or (error == before and np.array_equal(new_bits, slots[(step - 2) % 3][2]))):
-                # from here the state alternates with the previous one, which
-                # is itself when the step returned its input
-                errors[step + 1::2] = previous
-                errors[step + 2::2] = error
+            if error == previous and np.array_equal(new_bits, x_bits):
+                # a fixed point: the step map reads x alone (ks, tmp, acc and
+                # centre are rewritten before they are read, Gamma and the
+                # coupling are fixed, and f takes no t), so every later step
+                # returns this state. The bits, where -0.0 and +0.0 differ,
+                # are compared only when the error repeats, as it does here.
+                errors[step + 1:] = error
                 if keep_states:
-                    states[step + 1::2] = states[step - 1]
-                    states[step + 2::2] = new
+                    states[step + 1:] = new
                 break
-            before, previous = previous, error
+            previous = error
     if not keep_states:
-        # the state at t_max: that of this step, or of the one before
-        states[0] = ring[(step - (steps - step) % 2) % 3]
+        # the state at t_max, which a fixed point holds from its step on
+        states[0] = new
     return SyncTrajectory(times, states, errors)
 
 

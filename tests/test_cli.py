@@ -630,49 +630,63 @@ def tiny_edge_lists(tmp_path_factory):
     return sorted(str(path) for path in root.glob("*.edges"))
 
 
+# an integer too large for a float
+HUGE = 10**400
+
+
 def numbers(**valid):
     """argv for each named option: one of its valid values (space-separated),
-    0, -1, nan, inf or a non-number."""
+    0, -1, nan, inf, a non-number or HUGE."""
     pairs = [
         st.tuples(st.just("--" + name.replace("_", "-")),
-                  st.sampled_from([*good.split(), "0", "-1", "nan", "inf", "x"]))
+                  st.sampled_from([*good.split(), "0", "-1", "nan", "inf", "x", str(HUGE)]))
         for name, good in valid.items()
     ]
     return st.tuples(*pairs).map(lambda ps: [arg for pair in ps for arg in pair])
 
 
-@given(st.data())
+# --edge-list with one of tiny_edge_lists, named relative to their directory
+EDGE_LIST = st.sampled_from(["ba.edges", "k4.edges", "edge.edges", "loop.edges",
+                             "empty.edges"]).map(lambda name: ["--edge-list", name])
+# argv of a subcommand with every number option drawn by numbers()
+OPTION_ARGVS = st.one_of(
+    st.tuples(st.just(["generate", "ba"]), numbers(n="30", m="2", m0="3", seed="1")),
+    st.tuples(st.just(["generate", "er"]), numbers(n="30", edges="40", seed="1")),
+    st.tuples(st.just(["analyze"]), EDGE_LIST,
+              st.sampled_from([["--format", "json"], ["--format", "csv"]])),
+    st.tuples(st.just(["fit"]), EDGE_LIST, st.sampled_from([[], ["--compare-er"]]),
+              numbers(seed="1")),
+    st.tuples(st.just(["resilience"]), EDGE_LIST,
+              st.sampled_from([["--strategy", "attack"], ["--strategy", "error"]]),
+              numbers(seeds="3", seed="1", record_every="0.25")),
+    st.tuples(st.just(["sync"]), EDGE_LIST, st.sampled_from([[], ["--spectral-only"]]),
+              numbers(c="1", dt="0.1 0.6", tmax="1", state_dim="2"),
+              # linear:1e10 overflows at dt 0.1, t_max 1: a divergence, exit 3
+              st.sampled_from(["zero", "linear:-0.3", "logistic:2", "linear:1e10",
+                               "bogus", "linear:x"]).map(lambda d: ["--dynamics", d])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@given(argv=OPTION_ARGVS)
+@example(argv=["generate", "ba", "--n", str(HUGE), "--m", "3"])
+@example(argv=["sync", "--edge-list", "k4.edges", "--state-dim", str(HUGE)])
 @settings(max_examples=60, deadline=None)
-def test_every_option_value_gives_an_exit_code(tiny_edge_lists, tmp_path_factory, data):
+def test_every_option_value_gives_an_exit_code(tiny_edge_lists, argv):
     # every valid value is small: at most 3 seeds, t_max 1 at dt 0.1, 30 nodes
-    edge_list = ["--edge-list", data.draw(st.sampled_from(tiny_edge_lists))]
-    argv = data.draw(st.one_of(
-        st.tuples(st.just(["generate", "ba"]), numbers(n="30", m="2", m0="3", seed="1")),
-        st.tuples(st.just(["generate", "er"]), numbers(n="30", edges="40", seed="1")),
-        st.tuples(st.just(["analyze", *edge_list]),
-                  st.sampled_from([["--format", "json"], ["--format", "csv"]])),
-        st.tuples(st.just(["fit", *edge_list]), st.sampled_from([[], ["--compare-er"]]),
-                  numbers(seed="1")),
-        st.tuples(st.just(["resilience", *edge_list]),
-                  st.sampled_from([["--strategy", "attack"], ["--strategy", "error"]]),
-                  numbers(seeds="3", seed="1", record_every="0.25")),
-        st.tuples(st.just(["sync", *edge_list]), st.sampled_from([[], ["--spectral-only"]]),
-                  numbers(c="1", dt="0.1 0.6", tmax="1", state_dim="2"),
-                  # linear:1e10 overflows at dt 0.1, t_max 1: a divergence, exit 3
-                  st.sampled_from(["zero", "linear:-0.3", "logistic:2", "linear:1e10",
-                                   "bogus", "linear:x"]).map(lambda d: ["--dynamics", d])),
-    ).map(lambda parts: [arg for part in parts for arg in part]))
-    out = tmp_path_factory.getbasetemp() / "out"
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(tiny_edge_lists[0]))
     try:
-        code = main([*argv, "--out", str(out)])
+        code = main([*argv, "--out", "out"])
     except SystemExit as exc:  # argparse refuses a value it cannot parse
         code = exc.code
+    finally:
+        os.chdir(cwd)
     assert code in {0, 1, 2, 3}, argv
 
 
 # a wrongly typed or out-of-range JSON value, tried in place of every config
 # field; ABSENT leaves the key out
-WRONG_JSON = [[], {}, "x", True, None, -1, math.nan]
+WRONG_JSON = [[], {}, "x", True, None, -1, math.nan, HUGE]
 ABSENT = object()
 # the valid values of each top-level config field: at most 30 nodes and 3
 # seeds, and the edge lists of tiny_edge_lists, named relative to their
@@ -721,6 +735,7 @@ def configs(draw):
 
 @given(config=configs(), flag=st.booleans())
 @example(config={"input": {"generate": {"model": []}}}, flag=False)
+@example(config={"input": {"generate": {"model": "ba", "n": HUGE, "m": 2}}}, flag=False)
 @settings(max_examples=60, deadline=None)
 def test_every_config_gives_an_exit_code(tiny_edge_lists, config, flag):
     cwd = os.getcwd()
@@ -733,6 +748,50 @@ def test_every_config_gives_an_exit_code(tiny_edge_lists, config, flag):
     finally:
         os.chdir(cwd)
     assert code in {0, 1, 2, 3}, config
+
+
+def test_deeply_nested_config_is_one_line_input_error(tmp_path, capsys, child_env):
+    # json.loads meets Python's recursion limit long before this depth
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["pipeline", "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: --config: {config} nests too deeply to read\n"
+    proc = subprocess.run([sys.executable, "-m", "netsync.cli", *argv],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+HUGE_ARGVS = {
+    "generate-ba": (["generate", "ba", "--n", str(HUGE), "--m", "3"], "bytes"),
+    "generate-er": (["generate", "er", "--n", str(HUGE), "--edges", "3"], "bytes"),
+    "config-ba": ({"model": "ba", "n": HUGE, "m": 3}, "bytes"),
+    "config-er": ({"model": "er", "n": HUGE, "edges": 3}, "bytes"),
+    "resilience-seeds": (["resilience", "--edge-list", "k4.edges", "--strategy", "error",
+                          "--seeds", str(HUGE)], "bytes"),
+    "sync-state-dim": (["sync", "--edge-list", "k4.edges", "--state-dim", str(HUGE)], "bytes"),
+    "sync-state-dim-empty": (["sync", "--edge-list", "empty.edges", "--state-dim", str(HUGE)],
+                             "at least 1 node"),
+}
+
+
+@pytest.mark.parametrize("argv, named", HUGE_ARGVS.values(), ids=HUGE_ARGVS)
+def test_integer_too_large_for_a_float_is_one_line_input_error(tiny_edge_lists, tmp_path,
+                                                                 capsys, argv, named):
+    if isinstance(argv, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"input": {"generate": argv}}))
+        argv = ["pipeline", "--config", str(config)]
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(tiny_edge_lists[0]))
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    finally:
+        os.chdir(cwd)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("input error:") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
 
 
 PACKAGED_FIXTURE = (resources.files("netsync") / "data" / "een_node_stats.csv").read_text()

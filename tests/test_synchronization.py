@@ -592,6 +592,46 @@ def period_two_case(t_max):
     return g, dataclasses.replace(cfg, c=6.0, t_max=t_max), x0
 
 
+def cycle_case(period):
+    """Graph, settings and start state of a run whose state repeats with
+    the given period from some step on, and that step."""
+    if period == 2:
+        return (*period_two_case(60.0), 2953)
+    # without edges each node follows f alone; at dt=1 the step maps 2 to
+    # 11/6, 11/6 to 0.5 and 0.5 to 2, and each node starts at one phase of
+    # that 3-cycle, so the error repeats at every step
+    # f(x) = table[floor(x) + 4] on [-4, 4), and the last entry, 0, elsewhere
+    table = np.array([5.0, -1.0, 5.0, 4.0, 3.0, -4.0, 3.0, -6.0, 0.0])
+
+    def f(x):
+        cell = np.floor(x) + 4.0
+        return table[np.where((cell >= 0.0) & (cell < 8.0), cell, 8.0).astype(int)]
+
+    g, cfg = Graph(3), SyncConfig(c=1.0, dt=1.0, t_max=12.0, dynamics=f)
+    return g, cfg, np.array([2.0, 11.0 / 6.0, 0.5]), 0
+
+
+def assert_cycle_runs_every_step(monkeypatch, period):
+    """From step `first` on, the state repeats with this period and the
+    error at every step, while no step returns its input; so every step
+    passes the error gate, fails the state comparison and is run."""
+    g, cfg, x0, first = cycle_case(period)
+    errors, states = allocating_rk4(g, cfg, x0, keep_states=True)
+    steps = len(states) - 1
+    for lag in range(1, period):
+        assert not (bits(states[lag:]) == bits(states[:-lag])).all(axis=(1, 2)).any()
+    same = (bits(states[period:]) == bits(states[:-period])).all(axis=(1, 2))
+    assert int(np.argmax(same)) == first and same[first:].all()
+    assert (errors[first:] == errors[-1]).all()
+    calls = count_products(monkeypatch)
+    for keep_states in (False, True):
+        calls.clear()
+        traj = simulate(g, cfg, x0, keep_states=keep_states)
+        assert len(calls) == 4 * steps
+        assert np.array_equal(bits(traj.sync_error), bits(errors))
+        assert np.array_equal(bits(traj.states), bits(states if keep_states else states[-1:]))
+
+
 # settings under which each case reaches, well before t=40, a step that
 # returns its input bit for bit; all but BA(300) start from uniform draws
 FIXED_POINT_CASES = {
@@ -680,41 +720,11 @@ class TestBitwiseOracle:
         assert errors[-1] == errors[-3] != errors[-2]
         assert np.array_equal(bits(states[-1]), bits(states[-3]))
 
-    def test_exit_fires_two_steps_into_a_period_two_cycle(self, monkeypatch):
-        g, cfg, x0 = period_two_case(60.0)
-        states = allocating_rk4(g, cfg, x0, keep_states=True)[1]
-        same = (bits(states[2:]) == bits(states[:-2])).all(axis=(1, 2))
-        first = int(np.argmax(same))  # x(first + 2) == x(first), and on
-        assert same[first:].all() and first == 2953
-        calls = count_products(monkeypatch)
-        simulate(g, cfg, x0)
-        # step first + 2 repeats the error and the state of two steps before,
-        # and no step follows it
-        assert len(calls) == 4 * (first + 2)
+    def test_period_two_cycle_runs_every_step(self, monkeypatch):
+        assert_cycle_runs_every_step(monkeypatch, 2)
 
     def test_period_three_cycle_runs_every_step(self, monkeypatch):
-        # without edges each node follows f alone; at dt=1 the step maps 2 to
-        # 11/6, 11/6 to 0.5 and 0.5 to 2, and each node starts at one phase of
-        # that 3-cycle, so the error repeats at every step while no state
-        # equals either of the two before it
-        # f(x) = table[floor(x) + 4] on [-4, 4), and the last entry, 0, elsewhere
-        table = np.array([5.0, -1.0, 5.0, 4.0, 3.0, -4.0, 3.0, -6.0, 0.0])
-
-        def f(x):
-            cell = np.floor(x) + 4.0
-            return table[np.where((cell >= 0.0) & (cell < 8.0), cell, 8.0).astype(int)]
-
-        g, cfg = Graph(3), SyncConfig(c=1.0, dt=1.0, t_max=12.0, dynamics=f)
-        x0 = np.array([2.0, 11.0 / 6.0, 0.5])
-        states = assert_equals_allocating_loop(g, cfg, x0)
-        errors = allocating_rk4(g, cfg, x0)[0]
-        assert (errors[1:] == errors[0]).all()
-        assert not (bits(states[1:]) == bits(states[:-1])).all(axis=(1, 2)).any()
-        assert not (bits(states[2:]) == bits(states[:-2])).all(axis=(1, 2)).any()
-        assert np.array_equal(bits(states[3:]), bits(states[:-3]))
-        calls = count_products(monkeypatch)
-        simulate(g, cfg, x0)
-        assert len(calls) == 4 * 12
+        assert_cycle_runs_every_step(monkeypatch, 3)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -793,7 +803,7 @@ class TestConfigValidation:
 
     def test_rk4_working_set_must_fit_in_memory(self):
         # one state is a tenth of physical memory; besides the stored state
-        # the stepper holds 12: the 3 slots of its ring of states, the 4
+        # the stepper holds 11: the 2 slots of its ring of states, the 4
         # stages, tmp, acc and up to 3 temporaries of f or Gamma
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(InputError, match="bytes"):
