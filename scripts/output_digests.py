@@ -12,7 +12,10 @@ and ``sync --dynamics linear:-0.3 --tmax 2``, so the RK4 stepper runs with
 one state dimension and with two, with node dynamics and without; and on
 the ``--n`` BA graph ``sync`` to the default t_max. That run and ``--tmax
 10`` on ER(49) pass a step that returns its state bit for bit (on ER(49)
-at step 499), where the stepper stops and repeats that state. Then
+at step 499), where the stepper stops and repeats that state. The zero
+and linear runs on ER(49) make each step in one kernel call (the chain);
+the logistic run, and the BA run at the default ``--n`` of 1000, make it
+stage by stage. Then
 ``pipeline --deterministic`` with every stage on both 49-node edge lists,
 under attack and under a 4-seed error ensemble. Four more pipelines generate their
 graph from ``input.generate`` and run every stage with a one-seed error run

@@ -51,6 +51,23 @@ class DivergenceError(NumericalError):
         self.time = time
 
 
+def _six_digits(number: int) -> str:
+    """An integer of any size to 6 significant digits, through decimal,
+    imported only here: beyond the float range, or past the digits Python
+    converts an integer to a string for."""
+    from decimal import Decimal
+    return f"{Decimal(number).normalize():.6g}"
+
+
+def format_count(count: int) -> str:
+    """A count for a message: exact, or to 6 significant digits when it has
+    more digits than Python converts an integer to a string for."""
+    try:
+        return str(count)
+    except ValueError:
+        return _six_digits(count)
+
+
 def check_memory(nbytes: int | float, what: str) -> None:
     """Raise InputError, naming the bytes, when ``what`` needs more than
     the machine's physical memory, counted exactly for an integer."""
@@ -59,8 +76,7 @@ def check_memory(nbytes: int | float, what: str) -> None:
         try:
             shown = f"{nbytes:.6g}"
         except OverflowError:  # an integer beyond the float range
-            from decimal import Decimal
-            shown = f"{Decimal(nbytes).normalize():.6g}"
+            shown = _six_digits(nbytes)
         raise InputError(
             f"{what} need {shown} bytes, more than the {memory} bytes of physical memory"
         )

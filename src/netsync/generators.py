@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_memory
+from .errors import InputError, check_memory, format_count
 from .graph import Graph
 
 
@@ -23,7 +23,8 @@ def _check_graph_memory(model: str, n: int, edges: int) -> None:
     each a float64 value and the int64 column they are sorted by; per node
     an int64 degree count and an int32 row pointer. The generators' Python
     lists come on top."""
-    check_memory(48 * edges + 12 * n, f"the arrays of {model}(n={n}) with {edges} edges")
+    check_memory(48 * edges + 12 * n,
+                 f"the arrays of {model}(n={format_count(n)}) with {format_count(edges)} edges")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -50,7 +51,8 @@ class BAParams:
         m0 = self.core_size()
         if not (1 <= self.m <= m0 < self.n):
             raise InputError(
-                f"need 1 <= m <= m0 < n, got m={self.m}, m0={m0}, n={self.n}"
+                f"need 1 <= m <= m0 < n, got m={format_count(self.m)}, "
+                f"m0={format_count(m0)}, n={format_count(self.n)}"
             )
         _check_graph_memory("BA", self.n, m0 * (m0 - 1) // 2 + (self.n - m0) * self.m)
 
@@ -65,11 +67,12 @@ class ERParams:
 
     def validate(self) -> None:
         if self.n < 0:
-            raise InputError(f"node count must be non-negative, got {self.n}")
+            raise InputError(f"node count must be non-negative, got {format_count(self.n)}")
         max_edges = self.n * (self.n - 1) // 2
         if not (0 <= self.m <= max_edges):
             raise InputError(
-                f"edge count {self.m} outside [0, {max_edges}] for n={self.n}"
+                f"edge count {format_count(self.m)} outside [0, {format_count(max_edges)}] "
+                f"for n={format_count(self.n)}"
             )
         _check_graph_memory("ER", self.n, self.m)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,30 @@ SHIFT = 1e-3
 # real root of z^3 + 4 z^2 + 12 z + 24 = 0, where |R(-z)| = 1 for RK4's
 # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and |R| > 1 beyond it
 RK4_REAL_LIMIT = 2.785293563405289
+# the largest n * state_dim at which a step linear in the state runs as one
+# CSR kernel call (the chain, see simulate): the largest n * state_dim in the
+# table below at which the chain wins every case. Above it numpy's SIMD
+# ufuncs beat the kernel's scalar rows. scripts/rk4_step_times.py,
+# microseconds per step, 500 steps of linear:-0.3, best of 11, one BLAS
+# thread, on a 2-core x86-64 machine:
+#   graph            dim  stage loop  chain  chain/loop
+#   ER(49, 351)        1        24.3    9.9     0.41
+#   ER(49, 351)        2        29.8   16.0     0.53
+#   BA(49, 3)          1        22.4    8.9     0.40
+#   BA(49, 3)          2        25.7   13.2     0.51
+#   ER(200, 1433)      1        32.1   18.3     0.57
+#   ER(200, 1433)      2        53.7   47.9     0.89
+#   BA(200, 3)         1        28.8   15.7     0.55
+#   BA(200, 3)         2        43.2   33.3     0.77
+#   ER(500, 3582)      1        45.1   38.0     0.84
+#   ER(500, 3582)      2       102.4  108.1     1.06
+#   BA(500, 3)         1        34.7   29.1     0.84
+#   BA(500, 3)         2        69.4   71.7     1.03
+#   ER(1000, 7163)     1        80.3   83.3     1.04
+#   ER(1000, 7163)     2       185.7  217.3     1.17
+#   BA(1000, 3)        1        50.6   47.9     0.95
+#   BA(1000, 3)        2       128.5  150.5     1.17
+RK4_CHAIN_SIZE = 500
 
 Dynamics = Callable[[np.ndarray], np.ndarray]
 
@@ -223,9 +247,12 @@ class SyncConfig:
         if math.isinf(steps):
             check_memory(math.inf, what)
         # in integers, which no count overflows: times and errors; kept states
-        # (or the last); the stepper's working set of 11 states: the 2 slots
-        # of its ring of states, the 4 stages, tmp, acc, and at most 3
-        # temporaries of f (logistic holds r*x, 1-x and their product)
+        # (or the last); the stage loop's working set of 11 states: the 2
+        # slots of its ring of states, the 4 stages, tmp, acc, and at most 3
+        # temporaries of f (logistic holds r*x, 1-x and their product). The
+        # chain holds Z's 10 blocks and 1 cell beside x and tmp, and its
+        # matrix of at most 8m + 24n entries; it runs only up to
+        # RK4_CHAIN_SIZE numbers in a state, where that is under 13 MB
         rows = round(steps) + 1
         kept = rows if keep_states else 1
         check_memory(8 * (2 * rows + n * self.state_dim * (kept + 11)), what)
@@ -274,11 +301,91 @@ def _refuse_unstable_step(g: Graph, cfg: SyncConfig) -> None:
         )
 
 
+def _kernel(rows: int, dim: int, indptr: np.ndarray, indices: np.ndarray,
+            data: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """y += A x for a square CSR matrix A and ``dim`` columns (the flat views
+    of C-ordered (rows, dim) arrays), through the kernel that scipy's own
+    sparse product calls: csr_matvec for one column, csr_matvecs for more.
+    Row by row, in CSR order, it adds each product a * x to the value it
+    finds in y."""
+    if dim == 1:
+        return partial(_sparsetools.csr_matvec, rows, rows, indptr, indices, data)
+    return partial(_sparsetools.csr_matvecs, rows, rows, dim, indptr, indices, data)
+
+
+@cache
+def _kernel_chains_rows(dim: int) -> bool:
+    """Whether the kernel for ``dim`` columns does what the chain in
+    ``simulate`` needs: one call reads the rows it wrote earlier, and it
+    rounds each product a * x before it adds it (no fused multiply-add).
+
+    With b = 1 + 2**-30 and a = -fl(b * b), row 0 copies b from row 2, and
+    row 1 adds b times row 0 to its a. Row 1 ends at +0.0 when the product
+    is rounded, at 2**-60 when it is fused, and at a when row 0 is read as
+    it was before the call (-0.0)."""
+    b = 1.0 + 2.0**-30
+    a = -(b * b)
+    z = np.repeat([-0.0, a, b], dim)
+    _kernel(3, dim, np.array([0, 1, 2, 2], dtype=np.int32), np.array([2, 0], dtype=np.int32),
+            np.array([1.0, b]))(z, z)
+    return np.array_equal(z.view(np.uint64), np.repeat([b, 0.0, b], dim).view(np.uint64))
+
+
+def _chain_matrix(
+    coupling: sparse.csr_matrix, h: float, rate: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and data of the matrix whose one product over Z makes
+    an RK4 step of f(x) = rate * x (no f for None) with no Gamma.
+
+    Z holds 10 blocks of n rows, in this order: k1, t1 = x + (h/2) k1, k2,
+    t2 = x + (h/2) k2, k3, t3 = x + h k3, k4, acc = k1 + 2 k2 + 2 k3 + k4,
+    prev = x and the state x, and then one cell that holds +0.0. Row i of a
+    k block adds the cell, row i of the coupling on the block before it
+    (the state, for k1) and rate times that block's row i; acc's row adds
+    its terms in that order, and the state's adds (h/6) acc to itself."""
+    n = coupling.shape[0]
+    node = np.arange(n)
+    cell = 10 * n
+    rows, cols, values = [], [], []
+
+    def add(block, row, col, value):
+        rows.append(block * n + row)
+        cols.append(np.broadcast_to(col, row.shape))
+        values.append(np.broadcast_to(value, row.shape))
+
+    coupled = np.repeat(node, np.diff(coupling.indptr))
+    for k, source in ((0, 9), (2, 1), (4, 3), (6, 5)):
+        add(k, node, cell, 1.0)
+        add(k, coupled, source * n + coupling.indices, coupling.data)
+        if rate is not None:
+            add(k, node, source * n + node, rate)
+    for t, k, factor in ((1, 0, 0.5 * h), (3, 2, 0.5 * h), (5, 4, h)):
+        add(t, node, 9 * n + node, 1.0)
+        add(t, node, k * n + node, factor)
+    for k, weight in ((0, 1.0), (2, 2.0), (4, 2.0), (6, 1.0)):
+        add(7, node, k * n + node, weight)
+    add(8, node, 9 * n + node, 1.0)
+    add(9, node, 7 * n + node, h / 6.0)
+    rows = np.concatenate(rows)
+    # a stable sort by row keeps each row's entries in the order added
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=cell + 1)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    return indptr, np.concatenate(cols)[order].astype(np.int32), np.concatenate(values)[order]
+
+
 def simulate(
     g: Graph, cfg: SyncConfig, x0: np.ndarray, keep_states: bool = False
 ) -> SyncTrajectory:
     """Integrate with fixed-step RK4, recording the per-step worst-case deviation
     from the state mean; every step's state is kept only for ``keep_states``.
+
+    A step that is linear in the state ('zero' or 'linear:A' dynamics, with
+    no Gamma or an exact identity) on at most RK4_CHAIN_SIZE numbers runs
+    as one call of the CSR kernel (the chain), when the kernel passes
+    ``_kernel_chains_rows``; every other step runs its stages one by one.
+    Both make the roundings of the allocating RK4 expression in its order,
+    so both give its bits.
 
     The run stops early, with exact results, at the first step that returns
     its input bit for bit (a fixed point): a step reads nothing but the
@@ -324,45 +431,64 @@ def simulate(
     states[0] = x
     errors = np.empty(steps + 1)
     h = cfg.dt
+    name, rate = _parse_dynamics(cfg.dynamics) if isinstance(cfg.dynamics, str) else (None, None)
+    # Each step returns the new state, and the bit patterns of the new state
+    # and of its input. Both paths reuse their buffers, and their products
+    # call the CSR kernel that `coupling * state` reaches; every other
+    # operation, in the kernel or in numpy, is one that the allocating RK4
+    # expression evaluates, in its order, so the outputs are its bits.
+    if (name in ("zero", "linear") and gamma_t is None and n * dim <= RK4_CHAIN_SIZE
+            and _kernel_chains_rows(dim)):
+        # The chain: one product over Z (see _chain_matrix), whose x and y
+        # are both Z. The kernel sets each row to the sum, in CSR order, of
+        # the value it finds there and the row's products a * x, and a row
+        # reads only rows written before it in the same call. The first 9
+        # blocks are set to -0.0 first, and -0.0 + v = v for every v, so
+        # each row's first term is exact. A k row's first term is the cell's
+        # +0.0, the zero that the stage loop's product adds to; its last,
+        # for 'linear:A', is fl(A x_i), which f(x) + product adds in the
+        # other order, with the same result. The weights 1 and 2 are exact.
+        # The state row starts from the state and adds (h/6) acc, in place,
+        # as nothing after it reads the state; prev keeps the step's input.
+        z = np.zeros((10 * n + 1, dim))
+        z[9 * n:10 * n] = x
+        z_flat = z.reshape(-1)
+        blocks = z_flat[:9 * n * dim]
+        chain = partial(_kernel(10 * n + 1, dim, *_chain_matrix(coupling, h, rate)),
+                        z_flat, z_flat)
+        new, prev = z[9 * n:10 * n], z[8 * n:9 * n]
+        views = new, new.view(np.uint64), prev.view(np.uint64)
 
-    # Every step reuses these buffers. The coupling product calls the CSR
-    # kernel that `coupling * state` reaches (csr_matvec for one column,
-    # csr_matvecs for several), which adds each row's products in CSR order
-    # to the zero it finds in its output; every other operation is one that
-    # the allocating RK4 expression evaluates, in its order, so the outputs
-    # are that expression's bits. The kernel reads a C-ordered state, which
-    # both slots of the ring of states are: slot s % 2 (slot 0 is x, the
-    # copy of x0) holds x(s), and step s reads the slot of x(s - 1) and writes
-    # x(s) over that of x(s - 2), so the state of the step before stays put.
-    # Each slot as a state, its flat view and its bit patterns:
-    slots = [(s, s.reshape(-1), s.view(np.uint64)) for s in (x, np.empty((n, dim)))]
-    ks = np.empty((4, n, dim))
-    acc = np.empty((n, dim))
-    k1, k2, k3, k4 = ks
-    k1_flat, k2_flat, k3_flat, k4_flat = ks.reshape(4, -1)
-    tmp_flat = tmp.reshape(-1)
-    csr = (coupling.indptr, coupling.indices, coupling.data)
-    if dim == 1:
-        product = partial(_sparsetools.csr_matvec, n, n, *csr)
+        def advance(step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            blocks.fill(-0.0)
+            chain()
+            return views
     else:
-        product = partial(_sparsetools.csr_matvecs, n, n, dim, *csr)
+        # The stage loop. The kernel adds each row's products in CSR order
+        # to the zero it finds in its output. It reads a C-ordered state,
+        # which both slots of the ring of states are: slot s % 2 (slot 0 is
+        # x, the copy of x0) holds x(s), and step s reads the slot of
+        # x(s - 1) and writes x(s) over that of x(s - 2), so the state of the
+        # step before stays put. Each slot as a state, its flat view and its
+        # bit patterns:
+        slots = [(s, s.reshape(-1), s.view(np.uint64)) for s in (x, np.empty((n, dim)))]
+        ks = np.empty((4, n, dim))
+        acc = np.empty((n, dim))
+        k1, k2, k3, k4 = ks
+        k1_flat, k2_flat, k3_flat, k4_flat = ks.reshape(4, -1)
+        tmp_flat = tmp.reshape(-1)
+        product = _kernel(n, dim, coupling.indptr, coupling.indices, coupling.data)
 
-    def deriv(state: np.ndarray, state_flat: np.ndarray,
-              out: np.ndarray, out_flat: np.ndarray) -> None:
-        # out must hold zeros: the kernel adds the product to it
-        product(state_flat, out_flat)
-        if gamma_t is not None:
-            np.matmul(out, gamma_t, out=out)
-        if f is not _no_dynamics:
-            np.add(f(state), out, out=out)
+        def deriv(state: np.ndarray, state_flat: np.ndarray,
+                  out: np.ndarray, out_flat: np.ndarray) -> None:
+            # out must hold zeros: the kernel adds the product to it
+            product(state_flat, out_flat)
+            if gamma_t is not None:
+                np.matmul(out, gamma_t, out=out)
+            if f is not _no_dynamics:
+                np.add(f(state), out, out=out)
 
-    # overflow on the way to divergence is reported via DivergenceError,
-    # not as a numpy warning; a non-finite state gives a non-finite error
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors[0] = previous = float(max_deviation(x))
-        if not math.isfinite(previous):
-            raise InputError("x0 overflows float64 in a column sum or a deviation from the mean")
-        for step in range(1, steps + 1):
+        def advance(step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             x, x_flat, x_bits = slots[(step - 1) % 2]
             new, _, new_bits = slots[step % 2]
             # new <- x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
@@ -378,6 +504,16 @@ def simulate(
             np.add(acc, np.multiply(k3, 2.0, out=tmp), out=acc)
             np.add(acc, k4, out=acc)
             np.add(x, np.multiply(acc, h / 6.0, out=acc), out=new)
+            return new, new_bits, x_bits
+
+    # overflow on the way to divergence is reported via DivergenceError,
+    # not as a numpy warning; a non-finite state gives a non-finite error
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors[0] = previous = float(max_deviation(x))
+        if not math.isfinite(previous):
+            raise InputError("x0 overflows float64 in a column sum or a deviation from the mean")
+        for step in range(1, steps + 1):
+            new, new_bits, x_bits = advance(step)
             errors[step] = error = float(max_deviation(new))
             if not math.isfinite(error):
                 raise DivergenceError(
@@ -387,11 +523,12 @@ def simulate(
             if keep_states:
                 states[step] = new
             if error == previous and np.array_equal(new_bits, x_bits):
-                # a fixed point: the step map reads x alone (ks, tmp, acc and
-                # centre are rewritten before they are read, Gamma and the
-                # coupling are fixed, and f takes no t), so every later step
-                # returns this state. The bits, where -0.0 and +0.0 differ,
-                # are compared only when the error repeats, as it does here.
+                # a fixed point: the step map reads x alone (every buffer but
+                # the state is rewritten before it is read, the cell is never
+                # written, Gamma and the coupling are fixed, and f takes no
+                # t), so every later step returns this state. The bits, where
+                # -0.0 and +0.0 differ, are compared only when the error
+                # repeats, as it does here.
                 errors[step + 1:] = error
                 if keep_states:
                     states[step + 1:] = new

@@ -632,6 +632,8 @@ def tiny_edge_lists(tmp_path_factory):
 
 # an integer too large for a float
 HUGE = 10**400
+# an integer whose products have more digits than Python converts to a string
+LONG = 10**3000
 
 
 def numbers(**valid):
@@ -670,6 +672,8 @@ OPTION_ARGVS = st.one_of(
 @given(argv=OPTION_ARGVS)
 @example(argv=["generate", "ba", "--n", str(HUGE), "--m", "3"])
 @example(argv=["sync", "--edge-list", "k4.edges", "--state-dim", str(HUGE)])
+@example(argv=["generate", "er", "--n", str(LONG), "--edges", "-1"])
+@example(argv=["generate", "ba", "--n", str(2 * LONG), "--m", str(LONG)])
 @settings(max_examples=60, deadline=None)
 def test_every_option_value_gives_an_exit_code(tiny_edge_lists, argv):
     # every valid value is small: at most 3 seeds, t_max 1 at dt 0.1, 30 nodes
@@ -736,6 +740,7 @@ def configs(draw):
 @given(config=configs(), flag=st.booleans())
 @example(config={"input": {"generate": {"model": []}}}, flag=False)
 @example(config={"input": {"generate": {"model": "ba", "n": HUGE, "m": 2}}}, flag=False)
+@example(config={"input": {"generate": {"model": "er", "n": LONG, "edges": -1}}}, flag=False)
 @settings(max_examples=60, deadline=None)
 def test_every_config_gives_an_exit_code(tiny_edge_lists, config, flag):
     cwd = os.getcwd()
@@ -773,6 +778,12 @@ HUGE_ARGVS = {
     "sync-state-dim": (["sync", "--edge-list", "k4.edges", "--state-dim", str(HUGE)], "bytes"),
     "sync-state-dim-empty": (["sync", "--edge-list", "empty.edges", "--state-dim", str(HUGE)],
                              "at least 1 node"),
+    # the edge bound n(n-1)/2 and the BA edge count, shown to 6 digits
+    "generate-er-digits": (["generate", "er", "--n", str(LONG), "--edges", "-1"],
+                           "outside [0, 5e+5999]"),
+    "generate-ba-digits": (["generate", "ba", "--n", str(2 * LONG), "--m", str(LONG)],
+                           "with 1.5e+6000 edges need"),
+    "config-er-digits": ({"model": "er", "n": LONG, "edges": -1}, "outside [0, 5e+5999]"),
 }
 
 

@@ -63,3 +63,12 @@ def test_output_digests(tmp_path, child_env):
     assert lines[-1].endswith("  labels.analyze.json")
     again = run_script(child_env, "output_digests.py", tmp_path / "again", "--n", 60)
     assert again.stdout == proc.stdout
+
+
+def test_rk4_step_times(child_env):
+    """A row for each graph and state dimension; the script exits non-zero
+    when the two paths of a case give different bits."""
+    out = run_script(child_env, "rk4_step_times.py", "--steps", 20, "--repeats", 1).stdout
+    lines = out.splitlines()
+    assert lines[0].split()[:2] == ["graph", "dim"] and len(lines) == 1 + 16
+    assert all(float(line.split()[-1]) > 0 for line in lines[1:])

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -18,6 +21,7 @@ from netsync.graph import Graph
 from netsync.generators import BAParams, ERParams, generate_ba, generate_er
 from netsync.synchronization import (
     DENSE_EIGEN_N,
+    RK4_CHAIN_SIZE,
     SyncConfig,
     _coupling_operator,
     _sparsetools,
@@ -567,9 +571,12 @@ def assert_equals_allocating_loop(g, cfg, x0):
     return states
 
 
-def count_products(monkeypatch):
-    """The list to which every coupling product that simulate makes adds one
-    entry."""
+def count_kernel_calls(monkeypatch, dim):
+    """The list to which every CSR kernel call that simulate makes adds one
+    entry: 4 per step in the stage loop, 1 in the chain. The probe of the
+    kernel for ``dim`` columns runs first, so that its calls are not
+    counted."""
+    synchronization._kernel_chains_rows(dim)
     calls = []
 
     def counted(name):
@@ -623,13 +630,39 @@ def assert_cycle_runs_every_step(monkeypatch, period):
     same = (bits(states[period:]) == bits(states[:-period])).all(axis=(1, 2))
     assert int(np.argmax(same)) == first and same[first:].all()
     assert (errors[first:] == errors[-1]).all()
-    calls = count_products(monkeypatch)
+    calls = count_kernel_calls(monkeypatch, cfg.state_dim)
     for keep_states in (False, True):
         calls.clear()
         traj = simulate(g, cfg, x0, keep_states=keep_states)
-        assert len(calls) == 4 * steps
+        assert len(calls) == 4 * steps  # neither case runs the chain
         assert np.array_equal(bits(traj.sync_error), bits(errors))
         assert np.array_equal(bits(traj.states), bits(states if keep_states else states[-1:]))
+
+
+@contextlib.contextmanager
+def stale_kernels():
+    """simulate's CSR kernels replaced by ones that read x as it was before
+    the call, as a kernel would that copied its input; yields the list to
+    which each call adds its matrix's row count. The probe's verdicts are
+    forgotten on the way in and out."""
+    calls = []
+
+    def stale(name):
+        kernel = getattr(_sparsetools, name)
+
+        def call(*args):
+            calls.append(args[0])
+            *head, x, y = args
+            return kernel(*head, x.copy(), y)
+        return call
+
+    kernels = SimpleNamespace(csr_matvec=stale("csr_matvec"), csr_matvecs=stale("csr_matvecs"))
+    synchronization._kernel_chains_rows.cache_clear()
+    try:
+        with mock.patch.object(synchronization, "_sparsetools", kernels):
+            yield calls
+    finally:
+        synchronization._kernel_chains_rows.cache_clear()
 
 
 # settings under which each case reaches, well before t=40, a step that
@@ -661,15 +694,27 @@ class TestBitwiseOracle:
         # the reference ends on a repeated state, so simulate stopped early
         assert np.array_equal(bits(states[-1]), bits(states[-2]))
 
-    def test_signed_zero_start(self):
-        # -0.0 at every third node, which the first step turns into +0.0;
-        # the error is 0 throughout, so the gate compares from step 2 on
+    def test_signed_zero_start(self, monkeypatch):
+        # -0.0 at every third node and at the isolated node 50, which the
+        # first step turns into +0.0: a stage with no product term is the
+        # +0.0 it starts from, in the chain as in the stage loop. The error
+        # is 0 throughout, so the gate compares the states at every step:
+        # step 1 returns other signs, and step 2 its input, which ends the run
         g, cfg = sparse_case("disconnected_with_isolated_node")
+        cfg = dataclasses.replace(cfg, t_max=1.0)
         x0 = np.zeros((g.n, 1))
-        x0[::3] = -0.0
-        states = assert_equals_allocating_loop(g, dataclasses.replace(cfg, t_max=1.0), x0)
+        x0[::3] = x0[50] = -0.0
+        calls = count_kernel_calls(monkeypatch, 1)
+        for limit, per_step in ((RK4_CHAIN_SIZE, 1), (0, 4)):
+            monkeypatch.setattr(synchronization, "RK4_CHAIN_SIZE", limit)
+            states = assert_equals_allocating_loop(g, cfg, x0)
+            calls.clear()
+            simulate(g, cfg, x0)
+            assert len(calls) == 2 * per_step
         assert np.signbit(states[0]).any() and not np.signbit(states[1:]).any()
 
+    @pytest.mark.parametrize("limit, per_step", [(RK4_CHAIN_SIZE, 1), (0, 4)],
+                             ids=["chain", "stage-loop"])
     @pytest.mark.parametrize(
         "g, cfg, x0, converges",
         [
@@ -683,19 +728,22 @@ class TestBitwiseOracle:
         ids=["ba300-converges", "er49-never-repeats"],
     )
     def test_exit_skips_only_steps_after_a_fixed_point(self, monkeypatch, g, cfg, x0,
-                                                        converges):
-        calls = count_products(monkeypatch)
+                                                        converges, limit, per_step):
+        # the chain up to RK4_CHAIN_SIZE (both graphs are below it), and the
+        # stage loop with the constant at 0
+        monkeypatch.setattr(synchronization, "RK4_CHAIN_SIZE", limit)
+        calls = count_kernel_calls(monkeypatch, cfg.state_dim)
         traj = simulate(g, cfg, x0, keep_states=True)
         steps = len(traj.times) - 1
         same = (bits(traj.states[1:]) == bits(traj.states[:-1])).all(axis=(1, 2))
         if not converges:
-            assert not same.any() and len(calls) == 4 * steps
+            assert not same.any() and len(calls) == per_step * steps
             return
         # a state repeats first at step s; its error repeats too, so step s
         # compares it with the state of the step before and stops
         first = int(np.argmax(same)) + 1
         assert same[first - 1:].all()
-        assert len(calls) == 4 * first < 4 * steps
+        assert len(calls) == per_step * first < per_step * steps
 
     @pytest.mark.parametrize("t_max", [59.99, 60.0])
     def test_equals_allocating_loop_past_period_two_cycle(self, t_max):
@@ -726,6 +774,9 @@ class TestBitwiseOracle:
     def test_period_three_cycle_runs_every_step(self, monkeypatch):
         assert_cycle_runs_every_step(monkeypatch, 3)
 
+    # the chain runs the linear steps of these small graphs, and the stage
+    # loop all of them with the constant at 0
+    @pytest.mark.parametrize("limit", [RK4_CHAIN_SIZE, 0], ids=["chain", "stage-loop"])
     @settings(max_examples=20, deadline=None)
     @given(
         graphs(max_n=40),
@@ -735,9 +786,79 @@ class TestBitwiseOracle:
         st.integers(min_value=1, max_value=60),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_drawn_runs_equal_allocating_loop(self, g, dynamics, c, dim, t_max, seed):
+    def test_drawn_runs_equal_allocating_loop(self, limit, g, dynamics, c, dim, t_max, seed):
         cfg = SyncConfig(c=c, dt=0.01, t_max=float(t_max), dynamics=dynamics, state_dim=dim)
-        assert_equals_allocating_loop(g, cfg, np.random.default_rng(seed).random((g.n, dim)))
+        with mock.patch.object(synchronization, "RK4_CHAIN_SIZE", limit):
+            assert_equals_allocating_loop(g, cfg, np.random.default_rng(seed).random((g.n, dim)))
+
+    @pytest.mark.parametrize("n, per_step", [(RK4_CHAIN_SIZE // 2, 1), (RK4_CHAIN_SIZE // 2 + 1, 4)],
+                             ids=["at-the-constant", "one-node-above"])
+    def test_chain_runs_up_to_its_constant(self, monkeypatch, n, per_step):
+        # two state dimensions: n * 2 is RK4_CHAIN_SIZE, and then 2 above it
+        g = generate_ba(BAParams(n=n, m=3, seed=2))
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=1.0, dynamics="linear:-0.3", state_dim=2)
+        x0 = np.random.default_rng(3).standard_normal((n, 2))
+        assert_equals_allocating_loop(g, cfg, x0)
+        calls = count_kernel_calls(monkeypatch, 2)
+        simulate(g, cfg, x0)
+        assert len(calls) == per_step * 100
+
+    def test_kernel_passes_the_probe(self):
+        # were this to fail, the chain would stop running, silently but for
+        # this test and the speed
+        for dim in (1, 2, 3, 4):
+            assert synchronization._kernel_chains_rows(dim)
+
+    def test_probe_catches_a_stale_kernel(self):
+        # a kernel that reads x as it was before the call fails the probe;
+        # the chain it would run, forced, loses the allocating loop's bits
+        g, cfg, x0 = oracle_case("linear_dynamics")
+        cfg = dataclasses.replace(cfg, t_max=0.1)
+        errors = allocating_rk4(g, cfg, x0)[0]
+        with stale_kernels():
+            assert not synchronization._kernel_chains_rows(1)
+            with mock.patch.object(synchronization, "_kernel_chains_rows", lambda dim: True):
+                forced = simulate(g, cfg, x0).sync_error
+        assert not np.array_equal(bits(forced), bits(errors))
+
+    def test_probe_catches_a_fused_kernel(self):
+        # a kernel that adds each a * x to its sum with one rounding, as a
+        # fused multiply-add does, emulated exactly in fractions
+        def fused(rows, dim, indptr, indices, data, x, y):
+            for i, k in itertools.product(range(rows), range(dim)):
+                total = y[i * dim + k]
+                for jj in range(indptr[i], indptr[i + 1]):
+                    exact = Fraction(total) + Fraction(data[jj]) * Fraction(x[indices[jj] * dim + k])
+                    total = float(exact)
+                y[i * dim + k] = total
+
+        kernels = SimpleNamespace(
+            csr_matvec=lambda rows, cols, *args: fused(rows, 1, *args),
+            csr_matvecs=lambda rows, cols, dim, *args: fused(rows, dim, *args),
+        )
+        synchronization._kernel_chains_rows.cache_clear()
+        try:
+            with mock.patch.object(synchronization, "_sparsetools", kernels):
+                assert not any(synchronization._kernel_chains_rows(dim) for dim in (1, 2))
+        finally:
+            synchronization._kernel_chains_rows.cache_clear()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        graphs(max_n=40),
+        st.sampled_from(["zero", "linear:-0.3"]),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_kernel_failing_the_probe_runs_the_stage_loop(self, g, dynamics, dim, seed):
+        cfg = SyncConfig(c=0.7, dt=0.01, t_max=0.2, dynamics=dynamics, state_dim=dim)
+        x0 = np.random.default_rng(seed).random((g.n, dim))
+        with stale_kernels() as calls:
+            assert not synchronization._kernel_chains_rows(dim)
+            calls.clear()
+            assert_equals_allocating_loop(g, cfg, x0)
+        # every call is a product of the stage loop, on the n-row coupling
+        assert calls and set(calls) == {g.n}
 
     @pytest.mark.parametrize(
         "g, cfg",
